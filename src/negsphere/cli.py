@@ -263,6 +263,10 @@ def _cmd_verify(args) -> int:
 def _cmd_conjecture(args) -> int:
     max_n = args.max_n if args.max_n is not None else 12
     max_k = args.max_k if args.max_k is not None else 10
+    if max_n < 2:
+        raise ValidationError(f"--max-n must be at least 2, got {max_n}")
+    if max_k < 0:
+        raise ValidationError(f"--max-k must be >= 0, got {max_k}")
     rows = []
     violations = 0
     for n in range(2, max_n + 1):

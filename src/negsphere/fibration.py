@@ -63,11 +63,35 @@ class FibrationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationSpec":
+        _json_object(data, "spec")
+        for key in ("n", "fibers"):
+            if key not in data:
+                raise ValidationError(f"spec has no {key!r} entry")
+        fibers = data["fibers"]
+        if not isinstance(fibers, list) or not all(isinstance(nm, str) for nm in fibers):
+            raise ValidationError(f"spec 'fibers' must be a list of fiber names, got {fibers!r}")
         return cls(
-            n=int(data["n"]),
-            fibers=tuple(str(name) for name in data["fibers"]),
+            n=_json_int(data["n"], "spec 'n'"),
+            fibers=tuple(fibers),
             provenance=str(data.get("provenance", ASSUMED_REALIZABLE)),
         )
+
+
+def _json_object(data, what: str) -> dict:
+    """``data`` itself if it is a JSON object, else a ValidationError."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; booleans and fractional numbers are rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def validate(spec: FibrationSpec) -> None:
@@ -92,14 +116,26 @@ _RESIDUE_FIBERS = {
 }
 
 
+# Validated reference specs by n, filled on first use.  Invalid n are
+# never stored, so they raise on every call.
+_REFERENCE_SPECS: dict[int, FibrationSpec] = {}
+
+
 def reference_decomposition(n: int) -> FibrationSpec:
-    """The fixed fibration realizing the minimal smoothed square in E(n)."""
-    if n < 2:
-        raise ValidationError(f"n must be at least 2, got {n}")
-    k, r = divmod(n, 5)
-    fibers = ("E8t",) * (6 * k) + _RESIDUE_FIBERS[r]
-    spec = FibrationSpec(n=n, fibers=fibers, provenance=PAPER_VERIFIED)
-    validate(spec)
+    """The fixed fibration realizing the minimal smoothed square in E(n).
+
+    Memoised per n: the 12n-letter monodromy word is validated once per
+    process and every later call returns the same frozen spec.
+    """
+    spec = _REFERENCE_SPECS.get(n)
+    if spec is None:
+        if n < 2:
+            raise ValidationError(f"n must be at least 2, got {n}")
+        k, r = divmod(n, 5)
+        fibers = ("E8t",) * (6 * k) + _RESIDUE_FIBERS[r]
+        spec = FibrationSpec(n=n, fibers=fibers, provenance=PAPER_VERIFIED)
+        validate(spec)
+        _REFERENCE_SPECS[n] = spec
     return spec
 
 

@@ -36,6 +36,8 @@ from .fibration import (
     PAPER_VERIFIED,
     FibrationSpec,
     ValidationError,
+    _json_int,
+    _json_object,
     betti,
     build_tree,
     construction_square,
@@ -72,14 +74,27 @@ class BlowupPlan:
     edge_blowups: int = 0
     point_blowups: int = 0
 
+    def __post_init__(self) -> None:
+        for what, count in (("edge_blowups", self.edge_blowups),
+                            ("point_blowups", self.point_blowups)):
+            if count < 0:
+                raise ValidationError(f"{what} must be >= 0, got {count}")
+        for i in self.resolutions:
+            if i < 0:
+                raise ValidationError(f"resolution fiber index must be >= 0, got {i}")
+
     def blowup_cost(self, spec: FibrationSpec) -> int:
         cost = 0
         for i, choice in self.resolutions.items():
+            if i >= len(spec.fibers):
+                raise ValidationError(
+                    f"resolution fiber index {i} out of range for {len(spec.fibers)} fibers"
+                )
             name = spec.fibers[i]
             if choice == "resolve":
                 cost += fiber(name).resolution.blowups
             elif choice == "replace":
-                cost += 1
+                cost += cusp_replacement()[1]
         return cost
 
     def total_blowups(self, spec: FibrationSpec) -> int:
@@ -94,10 +109,14 @@ class BlowupPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlowupPlan":
+        _json_object(data, "plan")
+        resolutions = _json_object(data.get("resolutions", {}), "plan 'resolutions'")
         return cls(
-            resolutions={int(i): str(c) for i, c in data.get("resolutions", {}).items()},
-            edge_blowups=int(data.get("edge_blowups", 0)),
-            point_blowups=int(data.get("point_blowups", 0)),
+            resolutions={
+                _json_int(i, "plan resolution index"): str(c) for i, c in resolutions.items()
+            },
+            edge_blowups=_json_int(data.get("edge_blowups", 0), "plan 'edge_blowups'"),
+            point_blowups=_json_int(data.get("point_blowups", 0), "plan 'point_blowups'"),
         )
 
 

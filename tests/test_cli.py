@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from negsphere.cli import main
 from negsphere.fibration import FibrationSpec
 from negsphere.plumbing import PlumbingGraph
@@ -192,3 +194,43 @@ def test_exit_codes_stable(capsys):
     first = run(capsys, "formula", "7")
     second = run(capsys, "formula", "7")
     assert first == second
+
+
+K3_IV = {"n": 2, "fibers": ["E8t", "E8t", "IV"]}
+
+
+@pytest.mark.parametrize("spec, plan, message", [
+    (K3_IV, [], "plan must be a JSON object"),
+    (K3_IV, {"resolutions": []}, "plan 'resolutions' must be a JSON object"),
+    ({"n": 2}, None, "spec has no 'fibers' entry"),
+    ([], None, "spec must be a JSON object"),
+    ({"n": 2, "fibers": "E8t"}, None, "must be a list of fiber names"),
+    (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowups": -3}, "edge_blowups must be >= 0"),
+    (K3_IV, {"resolutions": {"2": "resolve"}, "point_blowups": -1}, "point_blowups must be >= 0"),
+    (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowups": 2.5}, "must be an integer"),
+    (K3_IV, {"resolutions": {"2": "resolve", "9": "skip"}}, "index 9 out of range"),
+])
+def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    argv = ["build", str(spec_file)]
+    if plan is not None:
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        argv += ["--plan", str(plan_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--max-n", "1"), "--max-n must be at least 2"),
+    (("--max-n", "3", "--max-k", "-1"), "--max-k must be >= 0"),
+])
+def test_conjecture_empty_grid_exits_2(capsys, flags, message):
+    code, out, err = run(capsys, "conjecture", *flags)
+    assert code == 2
+    assert out == ""
+    assert message in err and "Traceback" not in err

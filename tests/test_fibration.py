@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from negsphere import fibration
 from negsphere.fibers import FRAGMENT_FIBERS, fiber
 from negsphere.fibration import (
     FibrationSpec,
@@ -59,6 +60,32 @@ def test_reference_decomposition_residues():
 def test_reference_decomposition_validates_up_to_30():
     for n in range(2, 31):
         validate(reference_decomposition(n))
+
+
+def test_reference_decomposition_is_validated_once_per_n(monkeypatch):
+    monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
+    calls = []
+    monkeypatch.setattr(fibration, "validate", lambda spec: calls.append(spec.n) or validate(spec))
+    first = reference_decomposition(7)
+    assert reference_decomposition(7) is first
+    assert reference_decomposition(8) is reference_decomposition(8)
+    assert calls == [7, 8]
+
+
+def test_memoised_reference_equals_a_fresh_build(monkeypatch):
+    memoised = {n: reference_decomposition(n) for n in range(2, 31)}
+    monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
+    for n, spec in memoised.items():
+        fresh = reference_decomposition(n)
+        validate(fresh)
+        assert fresh == spec and fresh.provenance == PAPER_VERIFIED
+
+
+def test_reference_decomposition_does_not_cache_errors():
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="at least 2"):
+            reference_decomposition(1)
+    assert 1 not in fibration._REFERENCE_SPECS
 
 
 def test_construction_square_anchors():

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from negsphere.fibers import FRAGMENT_FIBERS, RESOLVABLE_FIBERS, fiber
+from negsphere import fibration
+from negsphere.fibers import FRAGMENT_FIBERS, RESOLVABLE_FIBERS, cusp_replacement, fiber
 from negsphere.fibration import (
     ASSUMED_REALIZABLE,
     FibrationSpec,
@@ -303,3 +304,30 @@ def test_search_results_deterministic_across_calls():
     first = best_sphere(3, 2)
     second = best_sphere(3, 2)
     assert first == second
+
+
+def test_enumerate_specs_validates_the_reference_once(monkeypatch):
+    monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
+    calls = []
+    monkeypatch.setattr(fibration, "validate", lambda spec: calls.append(spec.n) or validate(spec))
+    specs = list(enumerate_specs(5))
+    assert len(specs) > 100
+    assert len(calls) <= 1
+    verified = [s.fibers for s in specs if s.provenance == PAPER_VERIFIED]
+    assert verified == [("E8t",) * 6]
+
+
+def test_plan_blowup_cost_reads_the_catalog():
+    spec = FibrationSpec(n=6, fibers=("E8t",) * 7 + ("II_cusp",))
+    assert BlowupPlan({7: "replace"}).blowup_cost(spec) == cusp_replacement()[1]
+    assert BlowupPlan({7: "resolve"}).blowup_cost(spec) == fiber("II_cusp").resolution.blowups
+    with pytest.raises(ValidationError, match="out of range"):
+        BlowupPlan({8: "skip"}).blowup_cost(spec)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"edge_blowups": -3}, {"point_blowups": -1}, {"resolutions": {-1: "skip"}},
+])
+def test_plan_rejects_negative_counts_and_indices(kwargs):
+    with pytest.raises(ValidationError):
+        BlowupPlan(**kwargs)
