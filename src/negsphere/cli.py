@@ -7,28 +7,25 @@ import json
 import sys
 from fractions import Fraction
 
-from .fibers import (
-    FRAGMENT_FIBERS,
-    RESOLVABLE_FIBERS,
-    catalog,
-    catalog_json,
-    cusp_replacement,
-    fiber,
-)
+from .fibers import FiberOption, catalog, catalog_json, dot_graph, fiber
 from .fibration import (
     FibrationSpec,
     ValidationError,
     betti,
     closed_form_square,
     construction_square,
+    fiber_option,
     validate,
 )
 from .plumbing import PlumbingError, oracle_square
 from .search import (
     CANDIDATE_CONSTANT,
+    MAX_K,
+    MAX_N,
     BlowupPlan,
     NoSolutionError,
     best_sphere,
+    check_desk_scale,
     conjecture_check,
     replay_plan,
 )
@@ -46,7 +43,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="admit E7t/III/I1_nodal (ordered-product validation)")
     sub.add_argument("--max-n", type=int, default=None, help="desk-scale guard / grid limit for n")
     sub.add_argument("--max-k", type=int, default=None, help="desk-scale guard / grid limit for k")
-    sub.add_argument("--threads", type=int, default=1, help="parallel search workers (same results)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -103,10 +99,17 @@ def _fraction_float(value: Fraction) -> float:
     return value.numerator / value.denominator
 
 
+def _limits(args) -> dict:
+    """--max-n/--max-k as keyword arguments of the desk-scale guard."""
+    return {key: value for key, value in (("max_n", args.max_n), ("max_k", args.max_k))
+            if value is not None}
+
+
 # -- handlers ------------------------------------------------------------------
 
 
 def _cmd_formula(args) -> int:
+    check_desk_scale(args.n, 0, **_limits(args))
     built = construction_square(args.n)
     printed = closed_form_square(args.n)
     if args.json:
@@ -141,21 +144,21 @@ def _spec_summary(spec: FibrationSpec) -> str:
 def _cmd_build(args) -> int:
     with open(args.specfile, "r", encoding="utf-8") as handle:
         spec = FibrationSpec.from_json_dict(json.load(handle))
-    validate(spec)
+    plan = BlowupPlan()
     if args.plan:
         with open(args.plan, "r", encoding="utf-8") as handle:
             plan = BlowupPlan.from_json_dict(json.load(handle))
-    else:
-        missing = [i for i, nm in enumerate(spec.fibers) if nm in RESOLVABLE_FIBERS]
-        if missing:
-            raise ValidationError(
-                f"spec has resolvable fibers at indices {missing}; provide --plan"
-            )
-        plan = BlowupPlan()
+    spent = plan.total_blowups(spec)
+    check_desk_scale(spec.n, spent, **_limits(args))
+    validate(spec)
+    missing = [i for i, nm in enumerate(spec.fibers) if fiber(nm).default is None]
+    if missing and not args.plan:
+        raise ValidationError(
+            f"spec has fibers without a default choice at indices {missing}; provide --plan"
+        )
     graph = replay_plan(spec, plan)
     square = graph.smooth()
     oracle = oracle_square(graph, graph.two_coloring())
-    spent = plan.total_blowups(spec)
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:
@@ -183,23 +186,14 @@ def _running_totals(result) -> str:
     spec, plan = result.spec, result.plan
     total = -spec.n
     steps = [f"section {total}"]
-    groups: dict[tuple[str, str], int] = {}
+    groups: dict[tuple[str, FiberOption], int] = {}
     for i, name in enumerate(spec.fibers):
-        choice = plan.resolutions.get(i, "use" if name in FRAGMENT_FIBERS else "skip")
-        if choice == "skip":
-            continue
-        groups[(name, choice)] = groups.get((name, choice), 0) + 1
-    for (name, choice), count in groups.items():
-        entry = fiber(name)
-        if choice == "use":
-            fragment = entry.fragment
-        elif choice == "resolve":
-            fragment = entry.resolution.fragment
-        else:
-            fragment = cusp_replacement()[0]
-        delta = (sum(fragment.weights) - 2 * fragment.edge_count - 2) * count
-        total += delta
-        verb = {"use": "", "resolve": " resolved", "replace": " replaced"}[choice]
+        option = fiber_option(spec, i, plan.resolutions.get(i))
+        if option.fragment is not None:
+            groups[(name, option)] = groups.get((name, option), 0) + 1
+    for (name, option), count in groups.items():
+        total += option.contribution * count
+        verb = {"resolve": " resolved", "replace": " replaced"}.get(option.choice, "")
         steps.append(f"+{count} x {name}{verb} -> {total}")
     if plan.point_blowups:
         total -= 4 * plan.point_blowups
@@ -211,12 +205,7 @@ def _running_totals(result) -> str:
 
 
 def _cmd_search(args) -> int:
-    kwargs = {"extended": args.extended_fibers, "threads": max(1, args.threads)}
-    if args.max_n is not None:
-        kwargs["max_n"] = args.max_n
-    if args.max_k is not None:
-        kwargs["max_k"] = args.max_k
-    result = best_sphere(args.n, args.k, **kwargs)
+    result = best_sphere(args.n, args.k, extended=args.extended_fibers, **_limits(args))
     ratio, satisfies = conjecture_check(result)
     if args.dot:
         _write_dot(args.dot, replay_plan(result.spec, result.plan, k=result.k).to_dot())
@@ -273,8 +262,7 @@ def _cmd_conjecture(args) -> int:
         for k in range(0, max_k + 1):
             result = best_sphere(
                 n, k, extended=args.extended_fibers,
-                max_n=max(max_n, 30), max_k=max(max_k, 50),
-                threads=max(1, args.threads),
+                max_n=max(max_n, MAX_N), max_k=max(max_k, MAX_K),
             )
             ratio, satisfies = conjecture_check(result)
             violations += 0 if satisfies else 1
@@ -302,33 +290,17 @@ def _cmd_conjecture(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.dot:
-        lines = ["graph fiber_fragments {"]
-        for entry in catalog():
-            fragment = entry.fragment or (entry.resolution.fragment if entry.resolution else None)
-            if fragment is None:
-                continue
-            tag = entry.name
-            for i, w in enumerate(fragment.weights):
-                lines.append(f'  {tag}_{i} [label="{w}"];')
-            for u, v in fragment.edges:
-                lines.append(f"  {tag}_{u} -- {tag}_{v};")
-        lines.append("}")
-        _write_dot(args.dot, "\n".join(lines))
+        first = [(entry.name, entry.options[0].fragment) for entry in catalog()]
+        _write_dot(args.dot, dot_graph("fiber_fragments", [
+            (f"{name}_", frag.weights, frag.edges, ()) for name, frag in first if frag is not None
+        ]))
     if args.json:
         _print_json(catalog_json())
         return EXIT_OK
-    print(f"{'name':<10} {'word':<12} {'euler':>5}  structure")
+    print(f"{'name':<10} {'word':<12} {'euler':>5}  options (adjusted gain, blow-ups)")
     for entry in catalog():
-        if entry.fragment is not None:
-            shape = (f"fragment: {entry.fragment.vertex_count} spheres, "
-                     f"{entry.fragment.edge_count} crossings, all -2")
-        elif entry.resolution is not None:
-            frag = entry.resolution.fragment
-            shape = (f"resolves with {entry.resolution.blowups} blow-ups to "
-                     f"weights {list(frag.weights)}")
-        else:
-            shape = "monodromy bookkeeping only (nodal sphere, never attached)"
-        print(f"{entry.name:<10} {entry.word:<12} {entry.euler:>5}  {shape}")
+        options = ", ".join(f"{o.choice} ({o.adjusted_gain}, {o.blowups})" for o in entry.options)
+        print(f"{entry.name:<10} {entry.word:<12} {entry.euler:>5}  {options}")
     return EXIT_OK
 
 

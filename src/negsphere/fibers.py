@@ -1,12 +1,12 @@
 """Catalog of the singular elliptic-fiber types used by the constructions.
 
 Each catalog entry carries the fiber's monodromy word and Euler number,
-plus either a plumbing fragment of embedded spheres (the normal-crossing
-types E8t/E7t/E6t/I0star, trees of (-2)-spheres shaped like the affine
-Dynkin diagrams) or a blow-up recipe resolving it into such a fragment
-(the cuspidal/tangential types II_cusp, III, IV).  The nodal type
-I1_nodal is tracked for monodromy accounting only: a nodal sphere is not
-embedded, so it never contributes a fragment.
+plus its options: the normal-crossing types E8t/E7t/E6t/I0star are used
+as trees of (-2)-spheres shaped like the affine Dynkin diagrams, the
+cuspidal/tangential types II_cusp, III, IV are resolved by blow-ups into
+such trees (or, for II_cusp, replaced by a (-9)-sphere), and any fiber
+may be skipped.  The nodal type I1_nodal is tracked for monodromy
+accounting only: a nodal sphere is not embedded, so it is always skipped.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .sl2z import normalize_word
-
-FRAGMENT_FIBERS = ("E8t", "E7t", "E6t", "I0star")
-RESOLVABLE_FIBERS = ("II_cusp", "III", "IV")
 
 #: Fiber names whose monodromy words are powers of (ab).  Products of such
 #: words commute up to nothing at all: validity of a fibration built from
@@ -99,30 +96,60 @@ class PlumbingFragment:
         }
 
     def to_dot(self, name: str = "fragment") -> str:
-        lines = [f"graph {name} {{"]
-        for i, w in enumerate(self.weights):
-            lines.append(f'  v{i} [label="{w}"];')
-        for u, v in self.edges:
-            lines.append(f"  v{u} -- v{v};")
-        lines.append("}")
-        return "\n".join(lines)
+        return dot_graph(name, [("v", self.weights, self.edges, ())])
+
+
+def dot_graph(name: str, components) -> str:
+    """Graphviz text, vertex label = weight.  ``components`` holds
+    (prefix, weights, edges, boxed) tuples: vertex i is named prefix + i
+    and boxed when ``boxed[i]`` is true (an empty ``boxed`` boxes none)."""
+    lines = [f"graph {name} {{"]
+    for prefix, weights, edges, boxed in components:
+        for i, w in enumerate(weights):
+            marker = ", shape=box" if boxed and boxed[i] else ""
+            lines.append(f'  {prefix}{i} [label="{w}"{marker}];')
+        for u, v in edges:
+            lines.append(f"  {prefix}{u} -- {prefix}{v};")
+    lines.append("}")
+    return "\n".join(lines)
 
 
 @dataclass(frozen=True, slots=True)
-class Resolution:
-    """Blow-up recipe turning a non-normal-crossing fiber into a tree."""
+class FiberOption:
+    """One way a fiber enters the section's tree: the choice name plans
+    use, the fragment attached (None: nothing) and the blow-ups it costs."""
 
-    blowups: int
-    fragment: PlumbingFragment
+    choice: str
+    fragment: PlumbingFragment | None
+    blowups: int = 0
+
+    @property
+    def contribution(self) -> int:
+        """Change of the smoothed square when attached: weights, internal
+        edges, plus the one section edge."""
+        if self.fragment is None:
+            return 0
+        return sum(self.fragment.weights) - 2 * self.fragment.edge_count - 2
+
+    @property
+    def adjusted_gain(self) -> int:
+        """Contribution plus 5 per blow-up: how much the option beats
+        spending its blow-ups on edges instead."""
+        return self.contribution + 5 * self.blowups
+
+
+_SKIP = FiberOption("skip", None)
 
 
 @dataclass(frozen=True, slots=True)
 class FiberType:
+    """A singular fiber type; its options are in tie-break order, and the
+    first is the default unless it costs blow-ups."""
+
     name: str
     word: str
     euler: int
-    fragment: PlumbingFragment | None = None
-    resolution: Resolution | None = None
+    options: tuple[FiberOption, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "word", normalize_word(self.word))
@@ -130,6 +157,39 @@ class FiberType:
             raise ValueError(
                 f"{self.name}: Euler number {self.euler} != word length {len(self.word)}"
             )
+
+    @property
+    def default(self) -> FiberOption | None:
+        first = self.options[0]
+        return None if first.blowups else first
+
+    @property
+    def fragment(self) -> PlumbingFragment | None:
+        """The fragment attached as is, if the fiber is normal crossing."""
+        use = self._find("use")
+        return use.fragment if use is not None else None
+
+    @property
+    def resolution(self) -> FiberOption | None:
+        """The blow-up resolution (``fragment``, ``blowups``), if any."""
+        return self._find("resolve")
+
+    def _find(self, choice: str) -> FiberOption | None:
+        return next((o for o in self.options if o.choice == choice), None)
+
+    def option(self, choice: str | None = None) -> FiberOption:
+        """The option ``choice`` names; None names the default."""
+        found = self.default if choice is None else self._find(choice)
+        if found is not None:
+            return found
+        choices = "/".join(o.choice for o in self.options)
+        if choice is None:
+            raise ValueError(f"requires a resolution choice ({choices})")
+        takers = [e.name for e in _CATALOG if e._find(choice)]
+        where = f"it applies only to {', '.join(takers)}" if takers else "unknown choice"
+        raise ValueError(
+            f"does not take a resolution choice {choice!r} ({where}; {self.name} takes {choices})"
+        )
 
 
 def _dynkin_affine_e8() -> PlumbingFragment:
@@ -156,7 +216,7 @@ def _dynkin_affine_d4() -> PlumbingFragment:
     return PlumbingFragment(weights=(-2,) * 5, edges=edges, attachment=1)
 
 
-def _resolved_cusp() -> Resolution:
+def _resolved_cusp() -> FiberOption:
     # three blow-ups at the cusp point: the fiber becomes a (-6)-sphere
     # meeting a (-1)-sphere which also meets a (-2)- and a (-3)-sphere;
     # the section still meets the (-6) proper transform of the fiber
@@ -166,10 +226,10 @@ def _resolved_cusp() -> Resolution:
         attachment=0,
         labels=("fiber", "e3", "e1", "e2"),
     )
-    return Resolution(blowups=3, fragment=fragment)
+    return FiberOption("resolve", fragment, blowups=3)
 
 
-def _resolved_iii() -> Resolution:
+def _resolved_iii() -> FiberOption:
     # two blow-ups at the tangency: a central (-1)-sphere met by two
     # (-4)-spheres and a (-2)-sphere
     fragment = PlumbingFragment(
@@ -177,10 +237,10 @@ def _resolved_iii() -> Resolution:
         edges=((0, 1), (0, 2), (0, 3)),
         attachment=1,
     )
-    return Resolution(blowups=2, fragment=fragment)
+    return FiberOption("resolve", fragment, blowups=2)
 
 
-def _resolved_iv() -> Resolution:
+def _resolved_iv() -> FiberOption:
     # one blow-up at the triple point: a central (-1)-sphere met by three
     # (-3)-spheres
     fragment = PlumbingFragment(
@@ -188,19 +248,27 @@ def _resolved_iv() -> Resolution:
         edges=((0, 1), (0, 2), (0, 3)),
         attachment=1,
     )
-    return Resolution(blowups=1, fragment=fragment)
+    return FiberOption("resolve", fragment, blowups=1)
+
+
+def _cusp_replacement() -> FiberOption:
+    fragment = PlumbingFragment(weights=(-9,), edges=(), attachment=0)
+    return FiberOption("replace", fragment, blowups=1)
 
 
 _CATALOG = (
-    FiberType("E8t", "ab" * 5, 10, fragment=_dynkin_affine_e8()),
-    FiberType("E7t", "ab" * 4 + "a", 9, fragment=_dynkin_affine_e7()),
-    FiberType("E6t", "ab" * 4, 8, fragment=_dynkin_affine_e6()),
-    FiberType("I0star", "ab" * 3, 6, fragment=_dynkin_affine_d4()),
-    FiberType("IV", "ab" * 2, 4, resolution=_resolved_iv()),
-    FiberType("III", "aba", 3, resolution=_resolved_iii()),
-    FiberType("II_cusp", "ab", 2, resolution=_resolved_cusp()),
-    FiberType("I1_nodal", "a", 1),
+    FiberType("E8t", "ab" * 5, 10, (FiberOption("use", _dynkin_affine_e8()), _SKIP)),
+    FiberType("E7t", "ab" * 4 + "a", 9, (FiberOption("use", _dynkin_affine_e7()), _SKIP)),
+    FiberType("E6t", "ab" * 4, 8, (FiberOption("use", _dynkin_affine_e6()), _SKIP)),
+    FiberType("I0star", "ab" * 3, 6, (FiberOption("use", _dynkin_affine_d4()), _SKIP)),
+    FiberType("IV", "ab" * 2, 4, (_resolved_iv(), _SKIP)),
+    FiberType("III", "aba", 3, (_resolved_iii(), _SKIP)),
+    FiberType("II_cusp", "ab", 2, (_resolved_cusp(), _cusp_replacement(), _SKIP)),
+    FiberType("I1_nodal", "a", 1, (_SKIP,)),
 )
+
+FRAGMENT_FIBERS = tuple(entry.name for entry in _CATALOG if entry.fragment is not None)
+RESOLVABLE_FIBERS = tuple(entry.name for entry in _CATALOG if entry.resolution is not None)
 
 _BY_NAME = {entry.name: entry for entry in _CATALOG}
 
@@ -243,8 +311,8 @@ def cusp_replacement() -> tuple[PlumbingFragment, int]:
     costs one blow-up and yields a single (-9)-sphere that still meets the
     rest of the configuration in one transverse point.
     """
-    fragment = PlumbingFragment(weights=(-9,), edges=(), attachment=0)
-    return fragment, 1
+    option = fiber("II_cusp").option("replace")
+    return option.fragment, option.blowups
 
 
 def catalog_json() -> list[dict]:

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sl2z
-from .fibers import (
-    FRAGMENT_FIBERS,
-    RESOLVABLE_FIBERS,
-    cusp_replacement,
-    fiber,
-    order_index,
-    resolve,
-)
+from .fibers import FiberOption, fiber, order_index
 from .plumbing import PlumbingGraph
 
 PAPER_VERIFIED = "paper_verified"
@@ -139,6 +132,18 @@ def reference_decomposition(n: int) -> FibrationSpec:
     return spec
 
 
+def fiber_option(spec: FibrationSpec, i: int, choice: str | None = None) -> FiberOption:
+    """The catalog option ``choice`` names for fiber ``i`` of ``spec``
+    (None names the fiber type's default)."""
+    if not 0 <= i < len(spec.fibers):
+        raise ValidationError(f"fiber index {i} out of range for {len(spec.fibers)} fibers")
+    name = spec.fibers[i]
+    try:
+        return fiber(name).option(choice)
+    except ValueError as exc:
+        raise ValidationError(f"fiber {i} ({name}) {exc}") from None
+
+
 def build_tree(
     spec: FibrationSpec,
     use=None,
@@ -147,14 +152,16 @@ def build_tree(
 ) -> tuple[PlumbingGraph, int]:
     """Assemble the plumbing tree of a fibration and count blow-ups spent.
 
-    ``use`` selects fiber indices to attach (default: all).  Every used
-    II_cusp/III/IV fiber needs an entry in ``resolutions``: "resolve"
-    (blow up its singular point until normal crossing), "replace"
-    (II_cusp only: swap in the (-9)-sphere of the cuspidal-cubic gluing)
-    or "skip" (leave the fiber out of the tree).  Fragment fibers attach
-    as-is; I1_nodal can never be used.  ``attach_override`` maps fiber
-    index -> fragment vertex, overriding the catalog attachment (the
-    smoothed value is independent of this choice).
+    ``use`` selects fiber indices to attach (default: all).  ``resolutions``
+    maps fiber index -> a choice from the fiber type's catalog options:
+    "use" (attach as is), "resolve" (blow up the singular point until
+    normal crossing), "replace" (swap in the (-9)-sphere of the
+    cuspidal-cubic gluing) or "skip" (leave the fiber out of the tree).
+    A fiber without an entry takes its type's default; II_cusp/III/IV have
+    none and need an entry.  I1_nodal is skipped by default and cannot be
+    listed in ``use``.  ``attach_override`` maps fiber index -> fragment
+    vertex, overriding the catalog attachment (the smoothed value is
+    independent of this choice).
 
     Returns the tree and the number of blow-ups consumed by resolutions
     and replacements.
@@ -162,6 +169,8 @@ def build_tree(
     validate(spec)
     resolutions = dict(resolutions or {})
     attach_override = dict(attach_override or {})
+    for i, choice in resolutions.items():
+        fiber_option(spec, i, choice)
     indices = list(range(len(spec.fibers))) if use is None else sorted(set(use))
 
     graph = PlumbingGraph()
@@ -170,44 +179,16 @@ def build_tree(
     blowups = 0
 
     for i in indices:
-        if not 0 <= i < len(spec.fibers):
-            raise ValidationError(f"fiber index {i} out of range")
-        name = spec.fibers[i]
-        entry = fiber(name)
         choice = resolutions.get(i)
-        if name in FRAGMENT_FIBERS:
-            if choice not in (None, "use"):
+        option = fiber_option(spec, i, choice)
+        name = spec.fibers[i]
+        fragment = option.fragment
+        if fragment is None:
+            if choice is None and use is not None:
                 raise ValidationError(
-                    f"fiber {i} ({name}) does not take a resolution choice"
+                    f"fiber {i} ({name}) is not embedded and cannot be attached"
                 )
-            fragment, cost, applied = entry.fragment, 0, "fragment"
-        elif name in RESOLVABLE_FIBERS:
-            if choice == "skip":
-                continue
-            if choice == "resolve":
-                fragment, cost = resolve(entry)
-                applied = "resolve"
-            elif choice == "replace":
-                if name != "II_cusp":
-                    raise ValidationError(
-                        f"fiber {i} ({name}): replacement applies only to II_cusp"
-                    )
-                fragment, cost = cusp_replacement()
-                applied = "replace"
-            elif choice is None:
-                raise ValidationError(
-                    f"fiber {i} ({name}) requires a resolution choice "
-                    "(resolve/replace/skip)"
-                )
-            else:
-                raise ValidationError(f"unknown resolution choice {choice!r}")
-        else:  # I1_nodal
-            if choice == "skip" or use is None:
-                continue
-            raise ValidationError(
-                f"fiber {i} ({name}): a nodal sphere is not embedded and "
-                "cannot be attached"
-            )
+            continue
 
         offset = graph.vertex_count
         for w, lab in zip(fragment.weights, fragment.labels):
@@ -225,13 +206,13 @@ def build_tree(
                 "op": "attach_fiber",
                 "fiber": i,
                 "name": name,
-                "choice": applied,
+                "choice": "fragment" if option.choice == "use" else option.choice,
                 "vertices": [offset, graph.vertex_count - 1],
                 "attached_at": offset + attach_local,
-                "blowups": cost,
+                "blowups": option.blowups,
             }
         )
-        blowups += cost
+        blowups += option.blowups
 
     return graph, blowups
 

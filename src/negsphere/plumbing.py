@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fibers import dot_graph
+
 
 class PlumbingError(ValueError):
     """A plumbing operation was applied outside its domain."""
@@ -247,14 +249,7 @@ class PlumbingGraph:
 
     def to_dot(self, name: str = "plumbing") -> str:
         """Graphviz text; vertex label = weight, blow-up vertices boxed."""
-        lines = [f"graph {name} {{"]
-        for i, w in enumerate(self.weights):
-            marker = ", shape=box" if self.exceptional[i] else ""
-            lines.append(f'  v{i} [label="{w}"{marker}];')
-        for u, v in self.edges:
-            lines.append(f"  v{u} -- v{v};")
-        lines.append("}")
-        return "\n".join(lines)
+        return dot_graph(name, [("v", self.weights, self.edges, self.exceptional)])
 
 
 def oracle_square(graph: PlumbingGraph, coloring) -> int:

@@ -1,36 +1,28 @@
 """Branch-and-bound minimizer over fibrations and blow-up strategies.
 
 For X = E(n) # k CP2bar the search ranges over every multiset of catalog
-fibers with Euler sum 12n, every choice of which fibers to attach, every
-resolution/replacement choice for II_cusp/III/IV fibers, and every way
-to spend leftover blow-ups on edges (-5 each) or points (-4 each, only
-ever forced on a bare section).  The blow-up budget is spent exactly.
+fibers with Euler sum 12n, every catalog option (use/resolve/replace/skip)
+for every fiber, and every way to spend leftover blow-ups on edges (-5
+each) or points (-4 each, only ever forced on a bare section).  The
+blow-up budget is spent exactly.
 
-The optimizer works on a per-fiber "adjusted gain": the fiber's smoothed
-contribution plus 5 per blow-up its resolution consumes, i.e. how much it
-beats spending the same blow-ups on edges.  The branch bound charges the
-best per-letter adjusted rate (-18/5, an E8t fiber) to all unassigned
-monodromy letters and -5 to every blow-up; it only prunes, never decides.
+The optimizer works on each option's adjusted gain (see
+``fibers.FiberOption``): its smoothed contribution plus 5 per blow-up it
+consumes, i.e. how much it beats spending the same blow-ups on edges.
+The branch bound charges the best per-letter adjusted rate (-18/5, an E8t
+fiber) to all unassigned monodromy letters and -5 to every blow-up; it
+only prunes, never decides.
 Every winner is replayed through the tree builder and rewrites and
 cross-checked against the quadratic-form oracle before being reported.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import sl2z
-from .fibers import (
-    AB_POWER_FIBERS,
-    FRAGMENT_FIBERS,
-    RESOLVABLE_FIBERS,
-    PlumbingFragment,
-    cusp_replacement,
-    fiber,
-    order_index,
-)
+from .fibers import AB_POWER_FIBERS, catalog, fiber, order_index
 from .fibration import (
     ASSUMED_REALIZABLE,
     PAPER_VERIFIED,
@@ -41,6 +33,7 @@ from .fibration import (
     betti,
     build_tree,
     construction_square,
+    fiber_option,
     reference_decomposition,
 )
 from .plumbing import PlumbingError, PlumbingGraph, oracle_square
@@ -50,6 +43,10 @@ EXTENDED_ONLY_FIBERS = ("E7t", "III", "I1_nodal")
 
 #: Conjectured universal slope: [S]^2 >= CANDIDATE_CONSTANT * b2(X).
 CANDIDATE_CONSTANT = -5
+
+#: Desk-scale guard: default limits on n and on the blow-up count k.
+MAX_N = 30
+MAX_K = 50
 
 
 class NoSolutionError(LookupError):
@@ -63,9 +60,9 @@ class NoSolutionError(LookupError):
 class BlowupPlan:
     """How the blow-up budget is spent for one fibration spec.
 
-    ``resolutions`` maps fiber index -> choice: "resolve"/"replace"/"skip"
-    for II_cusp/III/IV (replace only for II_cusp), "use"/"skip" for
-    fragment fibers (default "use"), "skip" for I1_nodal.  Whatever the
+    ``resolutions`` maps fiber index -> one of the choices its fiber
+    type's catalog options offer; a fiber without an entry takes the
+    type's default (see ``fibration.build_tree``).  Whatever the
     resolutions do not consume is spent as ``edge_blowups`` (then
     ``point_blowups``); resolutions + edges + points must equal k.
     """
@@ -84,18 +81,7 @@ class BlowupPlan:
                 raise ValidationError(f"resolution fiber index must be >= 0, got {i}")
 
     def blowup_cost(self, spec: FibrationSpec) -> int:
-        cost = 0
-        for i, choice in self.resolutions.items():
-            if i >= len(spec.fibers):
-                raise ValidationError(
-                    f"resolution fiber index {i} out of range for {len(spec.fibers)} fibers"
-                )
-            name = spec.fibers[i]
-            if choice == "resolve":
-                cost += fiber(name).resolution.blowups
-            elif choice == "replace":
-                cost += cusp_replacement()[1]
-        return cost
+        return sum(fiber_option(spec, i, c).blowups for i, c in self.resolutions.items())
 
     def total_blowups(self, spec: FibrationSpec) -> int:
         return self.blowup_cost(spec) + self.edge_blowups + self.point_blowups
@@ -144,28 +130,16 @@ class SearchResult:
         }
 
 
-# -- adjusted-gain tables (derived from the catalog, not hand-entered) -------
+# -- option tables (derived from the catalog) ----------------------------------
 
-
-def _contribution(fragment: PlumbingFragment) -> int:
-    # smoothed contribution of an attached fragment: weights, internal
-    # edges, plus the one section edge
-    return sum(fragment.weights) - 2 * fragment.edge_count - 2
-
-
-_FRAG_ADJ = {name: _contribution(fiber(name).fragment) for name in FRAGMENT_FIBERS}
-_RES_ADJ = {
-    name: _contribution(fiber(name).resolution.fragment)
-    + 5 * fiber(name).resolution.blowups
-    for name in RESOLVABLE_FIBERS
+_OPTIONS = {entry.name: entry.options for entry in catalog()}
+# per type: index of the best option that costs no blow-ups (skip always
+# does), the earliest on ties; fibers not given a costly option take it
+_FREE = {
+    name: min((o.adjusted_gain, i) for i, o in enumerate(options) if not o.blowups)[1]
+    for name, options in _OPTIONS.items()
 }
-_REP_ADJ = _contribution(cusp_replacement()[0]) + 5 * cusp_replacement()[1]
-
-_BEST_ADJ = dict(_FRAG_ADJ)
-for _name in RESOLVABLE_FIBERS:
-    _BEST_ADJ[_name] = _RES_ADJ[_name]
-_BEST_ADJ["II_cusp"] = min(_BEST_ADJ["II_cusp"], _REP_ADJ)
-_BEST_ADJ["I1_nodal"] = 0
+_BEST_ADJ = {name: min(o.adjusted_gain for o in options) for name, options in _OPTIONS.items()}
 
 
 def _resolve_allowed(allowed, extended: bool) -> tuple[str, ...]:
@@ -223,18 +197,21 @@ def _word_is_trivial(names, counts) -> bool:
     return sl2z.is_identity(sl2z.word_to_matrix(word))
 
 
-def _reference_names(n: int) -> tuple[str, ...]:
-    return reference_decomposition(n).fibers
+#: Constructions the source builds explicitly besides the reference
+#: trees: n -> (fiber multiset, the choices each fiber type may take
+#: there; types not listed are used as they are).
+_DOCUMENTED_PATTERNS = {
+    2: (("E8t", "E8t", "IV"), {"IV": ("resolve",)}),
+    6: (("E8t",) * 7 + ("II_cusp",), {"II_cusp": ("resolve", "replace", "skip")}),
+}
 
 
-def _verified_multiset(n: int, names_sorted: tuple[str, ...]) -> bool:
-    if names_sorted == _reference_names(n):
-        return True
-    if n == 2 and names_sorted == ("E8t", "E8t", "IV"):
-        return True
-    if n == 6 and names_sorted == ("E8t",) * 7 + ("II_cusp",):
-        return True
-    return False
+def _documented_choices(n: int, names_sorted: tuple[str, ...]) -> dict | None:
+    """Per-type choices of the documented construction on this multiset, or None."""
+    if names_sorted == reference_decomposition(n).fibers:
+        return {}
+    fibers, choices = _DOCUMENTED_PATTERNS.get(n, ((), None))
+    return choices if names_sorted == fibers else None
 
 
 def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
@@ -254,116 +231,87 @@ def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
         if _needs_word_check(names, counts) and not _word_is_trivial(names, counts):
             continue
         fibers = _expand(names, counts)
-        provenance = PAPER_VERIFIED if _verified_multiset(n, fibers) else ASSUMED_REALIZABLE
+        provenance = ASSUMED_REALIZABLE if _documented_choices(n, fibers) is None else PAPER_VERIFIED
         yield FibrationSpec(n=n, fibers=fibers, provenance=provenance)
 
 
 # -- per-spec plan optimization ----------------------------------------------
 
 
-def _plan_ranks(names, counts, plan_tuple) -> tuple:
-    # canonical tie-break key: choice ranks per fiber (use/resolve=0,
-    # replace=1, skip=2), then blow-up split
-    i_iv, t_iii, m_res, j_rep, edge, point = plan_tuple
-    ranks: list[int] = []
-    for nm, c in zip(names, counts):
-        if nm in FRAGMENT_FIBERS:
-            ranks.extend([0] * c)
-        elif nm == "IV":
-            ranks.extend([0] * i_iv + [2] * (c - i_iv))
-        elif nm == "III":
-            ranks.extend([0] * t_iii + [2] * (c - t_iii))
-        elif nm == "II_cusp":
-            ranks.extend([0] * m_res + [1] * j_rep + [2] * (c - m_res - j_rep))
-        else:  # I1_nodal
-            ranks.extend([2] * c)
-    return (tuple(ranks), edge, point)
-
-
 def _best_plan_for_counts(n, k, names, counts):
     """Exact minimum over plans for one fiber multiset; budget spent exactly.
 
-    Returns (value, plan_key, plan_tuple) with plan_tuple =
-    (iv_resolved, iii_resolved, cusps_resolved, cusps_replaced,
-    edge_blowups, point_blowups).
+    Every fiber takes its type's free option (``_FREE``) unless it is given
+    an option that costs blow-ups.  One count is enumerated per costly
+    option of a present type, never one per free option.  The last costly
+    option goes straight to its bound when it beats its type's free option
+    and attaches a fragment: then every extra fiber on it lowers the value.
+
+    Returns (value, plan_key, plan) with plan = (option counts per type,
+    edge_blowups, point_blowups).  plan_key orders the plans of one
+    multiset like their per-fiber option indices (more fibers on earlier
+    options first), then by the blow-up split.
     """
-    by_name = dict(zip(names, counts))
-    free_adj = 0
-    has_fragment = False
-    for nm in FRAGMENT_FIBERS:
-        c = by_name.get(nm, 0)
+    value = -n - 5 * k
+    attached = False
+    rows = []  # per type: fibers on each option; the free option holds the rest
+    costly = []  # (row, option index, free index, option, gain over the free option)
+    for name, c in zip(names, counts):
+        options, f = _OPTIONS[name], _FREE[name]
+        row = [0] * len(options)
+        row[f] = c
+        rows.append(row)
         if c:
-            free_adj += _FRAG_ADJ[nm] * c
-            has_fragment = True
-    n_iv = by_name.get("IV", 0)
-    n_iii = by_name.get("III", 0)
-    n_cusp = by_name.get("II_cusp", 0)
-    base = -n - 5 * k + free_adj
+            value += c * options[f].adjusted_gain
+            attached = attached or options[f].fragment is not None
+            costly += [
+                (row, i, f, option, option.adjusted_gain - options[f].adjusted_gain)
+                for i, option in enumerate(options) if option.blowups
+            ]
+    best: list = []
 
-    best = None
-    for i in range(min(n_iv, k) + 1):
-        for t in range(min(n_iii, (k - i) // 2) + 1):
-            for m in range(min(n_cusp, (k - i - 2 * t) // 3) + 1):
-                # replacing a cusp always beats leaving its blow-up to an
-                # edge, so take as many replacements as cusps/budget allow
-                j = min(n_cusp - m, k - i - 2 * t - 3 * m)
-                spent = i + 2 * t + 3 * m + j
-                leftover = k - spent
-                value = (
-                    base
-                    + i * _RES_ADJ["IV"]
-                    + t * _RES_ADJ["III"]
-                    + m * _RES_ADJ["II_cusp"]
-                    + j * _REP_ADJ
-                )
-                point = 0
-                if leftover and not (has_fragment or i + t + m + j):
-                    # bare section: no edge exists until one point blow-up
-                    point = 1
-                    value += 1
-                plan_tuple = (i, t, m, j, leftover - point, point)
-                key = (value, _plan_ranks(names, counts, plan_tuple))
-                if best is None or key < best[0]:
-                    best = (key, plan_tuple)
-    (value, plan_key), plan_tuple = best
-    return value, plan_key, plan_tuple
+    def walk(d: int, budget: int, value: int, attached: bool):
+        if d == len(costly):
+            # bare section: no edge exists until one point blow-up
+            point = 1 if budget and not attached else 0
+            key = (value + point, tuple(-c for row in rows for c in row), budget - point, point)
+            if not best or key < best[0]:
+                best[:] = [key, tuple(map(tuple, rows))]
+            return
+        row, i, f, option, delta = costly[d]
+        top = min(row[f], budget // option.blowups)
+        greedy = d == len(costly) - 1 and delta < 0 and option.fragment is not None
+        for c in range(top, top - 1 if greedy else -1, -1):
+            row[i], row[f] = c, row[f] - c
+            walk(d + 1, budget - c * option.blowups, value + c * delta,
+                 attached or (c > 0 and option.fragment is not None))
+            row[i], row[f] = 0, row[f] + c
+
+    walk(0, k, value, attached)
+    (value, ranks, edge, point), rows = best
+    return value, (ranks, edge, point), (rows, edge, point)
 
 
-def _plan_from_tuple(names, counts, plan_tuple) -> BlowupPlan:
-    i_iv, t_iii, m_res, j_rep, edge, point = plan_tuple
-    resolutions: dict[int, str] = {}
-    index = 0
-    for nm, c in zip(names, counts):
-        for _ in range(c):
-            if nm == "IV":
-                resolutions[index] = "resolve" if i_iv > 0 else "skip"
-                i_iv -= 1 if i_iv > 0 else 0
-            elif nm == "III":
-                resolutions[index] = "resolve" if t_iii > 0 else "skip"
-                t_iii -= 1 if t_iii > 0 else 0
-            elif nm == "II_cusp":
-                if m_res > 0:
-                    resolutions[index] = "resolve"
-                    m_res -= 1
-                elif j_rep > 0:
-                    resolutions[index] = "replace"
-                    j_rep -= 1
-                else:
-                    resolutions[index] = "skip"
-            elif nm == "I1_nodal":
-                resolutions[index] = "skip"
-            index += 1
+def _plan_from_counts(names, plan) -> BlowupPlan:
+    rows, edge, point = plan
+    choices = [
+        option.choice
+        for name, row in zip(names, rows)
+        for option, c in zip(_OPTIONS[name], row)
+        for _ in range(c)
+    ]
+    # a plan spells out every choice but using a fiber as it is
+    resolutions = {i: choice for i, choice in enumerate(choices) if choice != "use"}
     return BlowupPlan(resolutions=resolutions, edge_blowups=edge, point_blowups=point)
 
 
 # -- the branch-and-bound search ----------------------------------------------
 
 
-def _dfs_best(n, k, names, first_count=None):
-    """Best (key, counts, plan_tuple) over all specs, or None.
+def _dfs_best(n, k, names):
+    """Best (key, counts, plan) over all specs, or None.
 
     key = (value, expanded-spec index tuple, plan key); smaller wins.
-    ``first_count`` pins the count of names[0] (used to split work).
     """
     eulers = tuple(fiber(nm).euler for nm in names)
     best_adj = tuple(_BEST_ADJ[nm] for nm in names)
@@ -379,13 +327,13 @@ def _dfs_best(n, k, names, first_count=None):
         tcounts = tuple(counts)
         if _needs_word_check(names, tcounts) and not _word_is_trivial(names, tcounts):
             return
-        value, plan_key, plan_tuple = _best_plan_for_counts(n, k, names, tcounts)
+        value, plan_key, plan = _best_plan_for_counts(n, k, names, tcounts)
         spec_key = tuple(
             idx for idx, c in enumerate(tcounts) for _ in range(c)
         )
         key = (value, spec_key, plan_key)
         if best[0] is None or key < best[0][0]:
-            best[0] = (key, tcounts, plan_tuple)
+            best[0] = (key, tcounts, plan)
 
     def walk(pos: int, remaining: int, partial_opt: int):
         if best[0] is not None:
@@ -397,15 +345,7 @@ def _dfs_best(n, k, names, first_count=None):
                 leaf()
             return
         e = eulers[pos]
-        start = remaining // e
-        if pos == 0 and first_count is not None:
-            if first_count > start:
-                return
-            counts[0] = first_count
-            walk(1, remaining - first_count * e, partial_opt + first_count * best_adj[0])
-            counts[0] = 0
-            return
-        for c in range(start, -1, -1):
+        for c in range(remaining // e, -1, -1):
             counts[pos] = c
             walk(pos + 1, remaining - c * e, partial_opt + c * best_adj[pos])
         counts[pos] = 0
@@ -414,31 +354,13 @@ def _dfs_best(n, k, names, first_count=None):
     return best[0]
 
 
-def _pool_worker(args):
-    n, k, names, first_count = args
-    return _dfs_best(n, k, names, first_count=first_count)
-
-
-def _documented_plan(n, fibers_sorted, plan: BlowupPlan) -> bool:
-    """Whether (spec, plan) matches a construction pattern built explicitly
-    in the source constructions (reference trees plus the E(2)/E(6)
-    cusp and type-IV examples, with leftover edge/point blow-ups)."""
-    if not _verified_multiset(n, fibers_sorted):
-        return False
-    for i, name in enumerate(fibers_sorted):
-        choice = plan.resolutions.get(i)
-        if name in FRAGMENT_FIBERS:
-            if choice not in (None, "use"):
-                return False
-        elif name == "IV":
-            if choice != "resolve":
-                return False
-        elif name == "II_cusp":
-            if choice not in ("skip", "replace", "resolve"):
-                return False
-        else:
-            return False
-    return True
+def check_desk_scale(n: int, k: int, max_n: int = MAX_N, max_k: int = MAX_K) -> None:
+    """Raise ValueError when (n, k) exceeds the desk-scale guard."""
+    if n > max_n or k > max_k:
+        raise ValueError(
+            f"(n={n}, k={k}) exceeds the desk-scale guard "
+            f"(max_n={max_n}, max_k={max_k}); raise the limits to override"
+        )
 
 
 def blowup_guarantee(n: int, k: int) -> int:
@@ -455,27 +377,7 @@ def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> 
     (first, so a bare section grows an edge); edge blow-ups always hit the
     currently smallest edge.  With ``k`` given, checks the budget is spent
     exactly."""
-    use: list[int] = []
-    resolutions: dict[int, str] = {}
-    for i, name in enumerate(spec.fibers):
-        choice = plan.resolutions.get(i)
-        if name in FRAGMENT_FIBERS:
-            if choice in (None, "use"):
-                use.append(i)
-            elif choice != "skip":
-                raise ValidationError(f"fiber {i} ({name}): bad choice {choice!r}")
-        elif name in RESOLVABLE_FIBERS:
-            if choice is None:
-                raise ValidationError(
-                    f"fiber {i} ({name}) requires a resolution choice"
-                )
-            if choice != "skip":
-                use.append(i)
-                resolutions[i] = choice
-        else:  # I1_nodal
-            if choice not in (None, "skip"):
-                raise ValidationError(f"fiber {i} ({name}): bad choice {choice!r}")
-    graph, spent = build_tree(spec, use=use, resolutions=resolutions)
+    graph, spent = build_tree(spec, resolutions=plan.resolutions)
     if k is not None and spent + plan.edge_blowups + plan.point_blowups != k:
         raise ValidationError(
             f"plan spends {spent + plan.edge_blowups + plan.point_blowups} "
@@ -496,49 +398,36 @@ def best_sphere(
     allowed=None,
     *,
     extended: bool = False,
-    max_n: int = 30,
-    max_k: int = 50,
-    threads: int = 1,
+    max_n: int = MAX_N,
+    max_k: int = MAX_K,
 ) -> SearchResult:
     """Most negative smoothed sphere found in E(n) # k CP2bar.
 
     Minimizes over every valid fiber multiset, usage subset, resolution
     choice and exact spending of the blow-up budget.  Ties break to the
     lexicographically smallest canonical spec, then plan, so results are
-    reproducible bit for bit (and schedule-independent under ``threads``).
-    The winner is replayed through the builder and rewrites and checked
-    against the quadratic-form oracle before being returned.
+    reproducible bit for bit.  The winner is replayed through the builder
+    and rewrites and checked against the quadratic-form oracle before
+    being returned.
     """
     if n < 2:
         raise ValidationError(f"n must be at least 2, got {n}")
     if k < 0:
         raise ValidationError(f"blow-up count must be >= 0, got {k}")
-    if n > max_n or k > max_k:
-        raise ValueError(
-            f"(n={n}, k={k}) exceeds the desk-scale guard "
-            f"(max_n={max_n}, max_k={max_k}); raise the limits to override"
-        )
+    check_desk_scale(n, k, max_n, max_k)
     names = _resolve_allowed(allowed, extended)
-
-    if threads > 1:
-        e0 = fiber(names[0]).euler
-        jobs = [(n, k, names, c) for c in range(12 * n // e0, -1, -1)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            results = [r for r in pool.map(_pool_worker, jobs) if r is not None]
-        found = min(results, key=lambda item: item[0]) if results else None
-    else:
-        found = _dfs_best(n, k, names)
-
+    found = _dfs_best(n, k, names)
     if found is None:
         raise NoSolutionError(
             f"no valid fibration decomposition for n={n} over fibers {list(names)}"
         )
-    (value, _spec_key, _plan_key), counts, plan_tuple = found
+    (value, _spec_key, _plan_key), counts, plan_counts = found
 
     fibers = _expand(names, counts)
-    spec_prov = PAPER_VERIFIED if _verified_multiset(n, fibers) else ASSUMED_REALIZABLE
+    documented = _documented_choices(n, fibers)
+    spec_prov = ASSUMED_REALIZABLE if documented is None else PAPER_VERIFIED
     spec = FibrationSpec(n=n, fibers=fibers, provenance=spec_prov)
-    plan = _plan_from_tuple(names, counts, plan_tuple)
+    plan = _plan_from_counts(names, plan_counts)
 
     graph = replay_plan(spec, plan, k=k)
     square = graph.smooth()
@@ -548,9 +437,11 @@ def best_sphere(
             f"replay mismatch: model {value}, smooth {square}, oracle {oracle}"
         )
 
-    provenance = (
-        PAPER_VERIFIED if _documented_plan(n, fibers, plan) else ASSUMED_REALIZABLE
+    on_pattern = documented is not None and all(
+        plan.resolutions.get(i, "use") in documented.get(name, ("use",))
+        for i, name in enumerate(fibers)
     )
+    provenance = PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
     return SearchResult(
         n=n,
         k=k,

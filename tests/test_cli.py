@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -62,13 +63,6 @@ def test_search_writes_dot(tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith("graph")
     assert "shape=box" in text  # the two edge blow-ups are marked
-
-
-def test_search_threads_flag(capsys):
-    code_seq, out_seq, _ = run(capsys, "search", "4", "2", "--json")
-    code_par, out_par, _ = run(capsys, "search", "4", "2", "--json", "--threads", "2")
-    assert code_seq == code_par == 0
-    assert json.loads(out_seq) == json.loads(out_par)
 
 
 def test_build_replays_example(tmp_path, capsys):
@@ -234,3 +228,42 @@ def test_conjecture_empty_grid_exits_2(capsys, flags, message):
     assert code == 2
     assert out == ""
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("plan, flags", [
+    ({"edge_blowups": 1e300}, ("--max-k", "50")),
+    ({"edge_blowups": 1000000000}, ()),
+])
+def test_build_huge_plan_exits_2_quickly(tmp_path, capsys, plan, flags):
+    spec_file, plan_file = tmp_path / "spec.json", tmp_path / "plan.json"
+    spec_file.write_text(json.dumps({"n": 2, "fibers": ["E8t", "E8t", "E6t", "I0star"]}))
+    plan_file.write_text(json.dumps(plan))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", str(spec_file), "--plan", str(plan_file), *flags)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "desk-scale guard" in err and err.count("\n") == 1
+
+
+def test_formula_guard_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "formula", "5000")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "desk-scale guard" in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "formula", "30")
+    assert code == 0 and "s(30) =" in out
+
+
+def test_build_replays_a_search_plan_at_the_guard(tmp_path, capsys):
+    code, out, _ = run(capsys, "search", "2", "50", "--json")
+    assert code == 0
+    found = json.loads(out)
+    spec_file, plan_file = tmp_path / "spec.json", tmp_path / "plan.json"
+    spec_file.write_text(json.dumps(found["spec"]))
+    plan_file.write_text(json.dumps(found["plan"]))
+    code, out, _ = run(capsys, "build", str(spec_file), "--plan", str(plan_file), "--json")
+    assert code == 0
+    built = json.loads(out)
+    assert built["smooth"] == built["oracle"] == found["best_square"]
+    assert built["blowups_used"] == 50

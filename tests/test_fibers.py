@@ -161,3 +161,21 @@ def test_fragment_dot_output():
     assert text.startswith("graph d4 {")
     assert '[label="-2"]' in text
     assert "--" in text
+
+
+def test_option_adjusted_gains():
+    # contribution of the attached fragment plus 5 per blow-up, per option
+    gains = {
+        (entry.name, option.choice): option.adjusted_gain
+        for entry in catalog() for option in entry.options
+    }
+    assert gains == {
+        ("E8t", "use"): -36, ("E8t", "skip"): 0,
+        ("E7t", "use"): -32, ("E7t", "skip"): 0,
+        ("E6t", "use"): -28, ("E6t", "skip"): 0,
+        ("I0star", "use"): -20, ("I0star", "skip"): 0,
+        ("IV", "resolve"): -13, ("IV", "skip"): 0,
+        ("III", "resolve"): -9, ("III", "skip"): 0,
+        ("II_cusp", "resolve"): -5, ("II_cusp", "replace"): -6, ("II_cusp", "skip"): 0,
+        ("I1_nodal", "skip"): 0,
+    }

@@ -238,3 +238,8 @@ def test_spec_rejects_unknown_fiber():
 def test_canonical_sorting():
     spec = FibrationSpec(n=2, fibers=("IV", "E8t", "E8t"))
     assert spec.canonical().fibers == ("E8t", "E8t", "IV")
+
+
+def test_build_rejects_resolution_index_past_last_fiber():
+    with pytest.raises(ValidationError, match="out of range"):
+        build_tree(reference_decomposition(2), resolutions={3: "skip"})

@@ -233,6 +233,11 @@ def test_pruned_search_matches_brute_force(k):
     assert best_sphere(2, k).best_square == brute_force_best(2, k)
 
 
+@pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (4, 0), (4, 1)])
+def test_pruned_search_matches_brute_force_up_to_n4(n, k):
+    assert best_sphere(n, k).best_square == brute_force_best(n, k)
+
+
 def test_conjecture_check():
     ratio, ok = conjecture_check(best_sphere(2, 0))
     assert ratio == Fraction(-43, 11)
@@ -251,15 +256,6 @@ def test_conjecture_check():
     ratio, ok = conjecture_check(fake)
     assert ratio == Fraction(-60, 11)
     assert not ok
-
-
-def test_threads_do_not_change_results():
-    for n, k in ((6, 3), (8, 5)):
-        sequential = best_sphere(n, k)
-        parallel = best_sphere(n, k, threads=3)
-        assert sequential.best_square == parallel.best_square
-        assert sequential.spec.fibers == parallel.spec.fibers
-        assert sequential.plan == parallel.plan
 
 
 def test_extended_search_not_worse_than_default():
@@ -331,3 +327,8 @@ def test_plan_blowup_cost_reads_the_catalog():
 def test_plan_rejects_negative_counts_and_indices(kwargs):
     with pytest.raises(ValidationError):
         BlowupPlan(**kwargs)
+
+
+def test_replay_rejects_resolution_index_past_last_fiber():
+    with pytest.raises(ValidationError, match="index 9 out of range"):
+        replay_plan(reference_decomposition(2), BlowupPlan({9: "resolve"}))
