@@ -7,7 +7,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .fibers import FiberOption, catalog, catalog_json, dot_graph, fiber
+from .fibers import FiberOption, catalog, catalog_json, fiber
 from .fibration import (
     FibrationSpec,
     ValidationError,
@@ -15,9 +15,8 @@ from .fibration import (
     closed_form_square,
     construction_square,
     fiber_option,
-    validate,
 )
-from .plumbing import PlumbingError, oracle_square
+from .plumbing import checked_square, dot_graph
 from .search import (
     CANDIDATE_CONSTANT,
     MAX_K,
@@ -36,13 +35,20 @@ EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    sub.add_argument("--dot", metavar="PATH", help="write the relevant graph(s) as Graphviz DOT")
-    sub.add_argument("--extended-fibers", action="store_true",
-                     help="admit E7t/III/I1_nodal (ordered-product validation)")
-    sub.add_argument("--max-n", type=int, default=None, help="desk-scale guard / grid limit for n")
-    sub.add_argument("--max-k", type=int, default=None, help="desk-scale guard / grid limit for k")
+_FLAGS = {
+    "--json": {"action": "store_true", "help": "emit machine-readable JSON"},
+    "--dot": {"metavar": "PATH", "help": "write the relevant graph(s) as Graphviz DOT"},
+    "--extended-fibers": {"action": "store_true",
+                          "help": "admit E7t/III/I1_nodal (ordered-product validation)"},
+    "--max-n": {"type": int, "default": MAX_N, "help": "desk-scale guard / grid limit for n"},
+    "--max-k": {"type": int, "default": MAX_K, "help": "desk-scale guard / grid limit for k"},
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the named flags: each subcommand takes only those its handler reads."""
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,32 +61,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("formula", help="s(n): smoothed square of the reference tree")
     p.add_argument("n", type=int)
-    _add_common_flags(p)
+    _add_flags(p, "--json", "--max-n")
     p.set_defaults(handler=_cmd_formula)
 
     p = commands.add_parser("build", help="build and smooth the tree of a fibration spec file")
     p.add_argument("specfile", help="JSON file {n, fibers: [names], provenance}")
     p.add_argument("--plan", metavar="PATH",
                    help="JSON plan {resolutions: {index: choice}, edge_blowups, point_blowups}")
-    _add_common_flags(p)
+    _add_flags(p, "--json", "--dot", "--max-n", "--max-k")
     p.set_defaults(handler=_cmd_build)
 
     p = commands.add_parser("search", help="minimize the smoothed square in E(n) # k CP2bar")
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
-    _add_common_flags(p)
+    _add_flags(p, *_FLAGS)
     p.set_defaults(handler=_cmd_search)
 
     p = commands.add_parser("verify-paper", help="run the full battery of documented values")
-    _add_common_flags(p)
+    _add_flags(p, "--json")
     p.set_defaults(handler=_cmd_verify)
 
     p = commands.add_parser("conjecture", help="ratio screen [S]^2 >= -5*b2 over an (n, k) grid")
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_conjecture)
+    _add_flags(p, "--json", "--extended-fibers", "--max-n", "--max-k")
+    p.set_defaults(handler=_cmd_conjecture, max_n=12, max_k=10)
 
     p = commands.add_parser("catalog", help="list the singular fiber catalog")
-    _add_common_flags(p)
+    _add_flags(p, "--json", "--dot")
     p.set_defaults(handler=_cmd_catalog)
 
     return parser
@@ -99,17 +105,11 @@ def _fraction_float(value: Fraction) -> float:
     return value.numerator / value.denominator
 
 
-def _limits(args) -> dict:
-    """--max-n/--max-k as keyword arguments of the desk-scale guard."""
-    return {key: value for key, value in (("max_n", args.max_n), ("max_k", args.max_k))
-            if value is not None}
-
-
 # -- handlers ------------------------------------------------------------------
 
 
 def _cmd_formula(args) -> int:
-    check_desk_scale(args.n, 0, **_limits(args))
+    check_desk_scale(args.n, 0, max_n=args.max_n)
     built = construction_square(args.n)
     printed = closed_form_square(args.n)
     if args.json:
@@ -149,16 +149,14 @@ def _cmd_build(args) -> int:
         with open(args.plan, "r", encoding="utf-8") as handle:
             plan = BlowupPlan.from_json_dict(json.load(handle))
     spent = plan.total_blowups(spec)
-    check_desk_scale(spec.n, spent, **_limits(args))
-    validate(spec)
+    check_desk_scale(spec.n, spent, args.max_n, args.max_k)
     missing = [i for i, nm in enumerate(spec.fibers) if fiber(nm).default is None]
     if missing and not args.plan:
         raise ValidationError(
             f"spec has fibers without a default choice at indices {missing}; provide --plan"
         )
-    graph = replay_plan(spec, plan)
-    square = graph.smooth()
-    oracle = oracle_square(graph, graph.two_coloring())
+    graph = replay_plan(spec, plan)  # build_tree validates the spec
+    square = checked_square(graph)
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:
@@ -170,7 +168,7 @@ def _cmd_build(args) -> int:
                 "edges": graph.edge_count,
                 "blowups_used": spent,
                 "smooth": square,
-                "oracle": oracle,
+                "oracle": square,
                 "graph": graph.to_json_dict(),
             }
         )
@@ -178,7 +176,7 @@ def _cmd_build(args) -> int:
     print(f"spec: E({spec.n}) with {_spec_summary(spec)}  [{spec.provenance}]")
     print(f"tree: {graph.vertex_count} vertices, {graph.edge_count} edges, "
           f"{spent} blow-ups used")
-    print(f"smoothed self-intersection: {square}  (quadratic-form check: {oracle})")
+    print(f"smoothed self-intersection: {square}  (the quadratic-form oracle agrees)")
     return EXIT_OK
 
 
@@ -205,7 +203,8 @@ def _running_totals(result) -> str:
 
 
 def _cmd_search(args) -> int:
-    result = best_sphere(args.n, args.k, extended=args.extended_fibers, **_limits(args))
+    result = best_sphere(args.n, args.k, extended=args.extended_fibers,
+                         max_n=args.max_n, max_k=args.max_k)
     ratio, satisfies = conjecture_check(result)
     if args.dot:
         _write_dot(args.dot, replay_plan(result.spec, result.plan, k=result.k).to_dot())
@@ -220,7 +219,6 @@ def _cmd_search(args) -> int:
     res_bits = [
         f"{result.spec.fibers[i]}[{i}] -> {choice}"
         for i, choice in sorted(result.plan.resolutions.items())
-        if choice not in ("use",)
     ]
     plan_bits = res_bits + [
         f"edge blow-ups: {result.plan.edge_blowups}",
@@ -250,8 +248,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    max_n = args.max_n if args.max_n is not None else 12
-    max_k = args.max_k if args.max_k is not None else 10
+    max_n, max_k = args.max_n, args.max_k
     if max_n < 2:
         raise ValidationError(f"--max-n must be at least 2, got {max_n}")
     if max_k < 0:
@@ -312,10 +309,8 @@ def main(argv=None) -> int:
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (ValidationError, PlumbingError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # ValidationError, PlumbingError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

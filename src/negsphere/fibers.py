@@ -13,12 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .plumbing import PlumbingGraph, dot_graph
 from .sl2z import normalize_word
-
-#: Fiber names whose monodromy words are powers of (ab).  Products of such
-#: words commute up to nothing at all: validity of a fibration built from
-#: them is independent of fiber order.
-AB_POWER_FIBERS = frozenset({"E8t", "E6t", "I0star", "IV", "II_cusp"})
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,35 +33,12 @@ class PlumbingFragment:
 
     def __post_init__(self) -> None:
         n = len(self.weights)
-        if n == 0:
-            raise ValueError("fragment must have at least one vertex")
         if not self.labels:
             object.__setattr__(self, "labels", tuple(f"v{i}" for i in range(n)))
-        if len(self.labels) != n:
-            raise ValueError("labels and weights must have the same length")
-        seen = set()
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError("fragment has a self-loop")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        if len(self.edges) != n - 1:
-            raise ValueError("fragment is not a tree (edge count != V - 1)")
-        stack, reached = [0], {0}
-        while stack:
-            for w in adjacency[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != n:
-            raise ValueError("fragment is not connected")
+        # raises PlumbingError (a ValueError) on misaligned labels, a
+        # self-loop, an edge out of range or a duplicate edge
+        if not PlumbingGraph.from_weights(self.weights, self.edges, self.labels).is_tree():
+            raise ValueError("fragment is not a connected tree")
         if not 0 <= self.attachment < n:
             raise ValueError("attachment vertex out of range")
 
@@ -97,21 +70,6 @@ class PlumbingFragment:
 
     def to_dot(self, name: str = "fragment") -> str:
         return dot_graph(name, [("v", self.weights, self.edges, ())])
-
-
-def dot_graph(name: str, components) -> str:
-    """Graphviz text, vertex label = weight.  ``components`` holds
-    (prefix, weights, edges, boxed) tuples: vertex i is named prefix + i
-    and boxed when ``boxed[i]`` is true (an empty ``boxed`` boxes none)."""
-    lines = [f"graph {name} {{"]
-    for prefix, weights, edges, boxed in components:
-        for i, w in enumerate(weights):
-            marker = ", shape=box" if boxed and boxed[i] else ""
-            lines.append(f'  {prefix}{i} [label="{w}"{marker}];')
-        for u, v in edges:
-            lines.append(f"  {prefix}{u} -- {prefix}{v};")
-    lines.append("}")
-    return "\n".join(lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,6 +228,13 @@ _CATALOG = (
 FRAGMENT_FIBERS = tuple(entry.name for entry in _CATALOG if entry.fragment is not None)
 RESOLVABLE_FIBERS = tuple(entry.name for entry in _CATALOG if entry.resolution is not None)
 
+#: Fiber names whose monodromy words are powers of (ab).  Powers of one
+#: element commute, so validity of a fibration built from them does not
+#: depend on fiber order.
+AB_POWER_FIBERS = frozenset(
+    entry.name for entry in _CATALOG if entry.word == "ab" * (entry.euler // 2)
+)
+
 _BY_NAME = {entry.name: entry for entry in _CATALOG}
 
 #: Canonical fiber order: strictly descending Euler number.
@@ -316,7 +281,8 @@ def cusp_replacement() -> tuple[PlumbingFragment, int]:
 
 
 def catalog_json() -> list[dict]:
-    """Catalog as JSON-ready dictionaries (words as plain strings)."""
+    """Catalog as JSON-ready dictionaries (words as plain strings), each
+    type's options in tie-break order."""
     out = []
     for entry in _CATALOG:
         item: dict = {"name": entry.name, "word": entry.word, "euler": entry.euler}
@@ -327,5 +293,10 @@ def catalog_json() -> list[dict]:
                 "blowups": entry.resolution.blowups,
                 "fragment": entry.resolution.fragment.to_json_dict(),
             }
+        item["options"] = [
+            {"choice": o.choice, "blowups": o.blowups, "adjusted_gain": o.adjusted_gain,
+             "fragment": None if o.fragment is None else o.fragment.to_json_dict()}
+            for o in entry.options
+        ]
         out.append(item)
     return out

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import sl2z
 from .fibers import FiberOption, fiber, order_index
-from .plumbing import PlumbingGraph
+from .plumbing import PlumbingGraph, checked_square
 
 PAPER_VERIFIED = "paper_verified"
 ASSUMED_REALIZABLE = "assumed_realizable"
@@ -218,9 +218,10 @@ def build_tree(
 
 
 def construction_square(n: int) -> int:
-    """Self-intersection of the smoothed reference tree in E(n)."""
+    """Self-intersection of the smoothed reference tree in E(n), checked
+    against the quadratic-form oracle."""
     graph, _ = build_tree(reference_decomposition(n))
-    return graph.smooth()
+    return checked_square(graph)
 
 
 def closed_form_square(n: int) -> Fraction:

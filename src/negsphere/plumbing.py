@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fibers import dot_graph
-
 
 class PlumbingError(ValueError):
     """A plumbing operation was applied outside its domain."""
@@ -99,32 +97,16 @@ class PlumbingGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(len(self.weights))]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
-    def is_connected(self) -> bool:
-        n = len(self.weights)
-        if n == 0:
-            return False
-        adj = self.adjacency()
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = 1
-                    count += 1
-                    stack.append(w)
-        return count == n
-
     def is_tree(self) -> bool:
-        return len(self.edges) == len(self.weights) - 1 and self.is_connected()
+        """Connected with one edge fewer than vertices: the two-coloring's
+        traversal reaches every vertex."""
+        if len(self.edges) != len(self.weights) - 1:
+            return False
+        try:
+            self.two_coloring()
+        except PlumbingError:
+            return False
+        return True
 
     # -- rewrites ----------------------------------------------------------
 
@@ -176,7 +158,10 @@ class PlumbingGraph:
         n = len(self.weights)
         if n == 0:
             raise PlumbingError("cannot color an empty graph")
-        adj = self.adjacency()
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
         colors = [0] * n
         colors[0] = 1
         stack = [0]
@@ -211,7 +196,7 @@ class PlumbingGraph:
                 )
         if len(self.edges) >= n:
             raise PlumbingError("graph has a cycle; smoothing would not give a sphere")
-        if not self.is_connected():
+        if not self.is_tree():
             raise PlumbingError("graph is disconnected; smoothing would not give a sphere")
         return sum(self.weights) - 2 * len(self.edges)
 
@@ -250,6 +235,32 @@ class PlumbingGraph:
     def to_dot(self, name: str = "plumbing") -> str:
         """Graphviz text; vertex label = weight, blow-up vertices boxed."""
         return dot_graph(name, [("v", self.weights, self.edges, self.exceptional)])
+
+
+def dot_graph(name: str, components) -> str:
+    """Graphviz text, vertex label = weight.  ``components`` holds
+    (prefix, weights, edges, boxed) tuples: vertex i is named prefix + i
+    and boxed when ``boxed[i]`` is true (an empty ``boxed`` boxes none)."""
+    lines = [f"graph {name} {{"]
+    for prefix, weights, edges, boxed in components:
+        for i, w in enumerate(weights):
+            marker = ", shape=box" if boxed and boxed[i] else ""
+            lines.append(f'  {prefix}{i} [label="{w}"{marker}];')
+        for u, v in edges:
+            lines.append(f"  {prefix}{u} -- {prefix}{v};")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+def checked_square(graph: PlumbingGraph) -> int:
+    """``graph.smooth()`` confirmed by ``oracle_square``; every square the
+    package reports passes through here.  A mismatch is a program fault,
+    not bad input, so it raises AssertionError."""
+    square = graph.smooth()
+    oracle = oracle_square(graph, graph.two_coloring())
+    if square != oracle:
+        raise AssertionError(f"smooth {square} != quadratic-form oracle {oracle}")
+    return square
 
 
 def oracle_square(graph: PlumbingGraph, coloring) -> int:

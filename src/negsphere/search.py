@@ -20,9 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import sl2z
-from .fibers import AB_POWER_FIBERS, catalog, fiber, order_index
+from .fibers import AB_POWER_FIBERS, FIBER_ORDER, catalog, fiber, order_index
 from .fibration import (
     ASSUMED_REALIZABLE,
     PAPER_VERIFIED,
@@ -36,10 +37,12 @@ from .fibration import (
     fiber_option,
     reference_decomposition,
 )
-from .plumbing import PlumbingError, PlumbingGraph, oracle_square
+from .plumbing import PlumbingError, PlumbingGraph, checked_square
 
-DEFAULT_FIBERS = ("E8t", "E6t", "I0star", "IV", "II_cusp")
-EXTENDED_ONLY_FIBERS = ("E7t", "III", "I1_nodal")
+#: Searched by default: the types whose words are powers of (ab), so a
+#: multiset's validity does not depend on fiber order.
+DEFAULT_FIBERS = tuple(name for name in FIBER_ORDER if name in AB_POWER_FIBERS)
+EXTENDED_ONLY_FIBERS = tuple(name for name in FIBER_ORDER if name not in AB_POWER_FIBERS)
 
 #: Conjectured universal slope: [S]^2 >= CANDIDATE_CONSTANT * b2(X).
 CANDIDATE_CONSTANT = -5
@@ -197,21 +200,57 @@ def _word_is_trivial(names, counts) -> bool:
     return sl2z.is_identity(sl2z.word_to_matrix(word))
 
 
-#: Constructions the source builds explicitly besides the reference
-#: trees: n -> (fiber multiset, the choices each fiber type may take
-#: there; types not listed are used as they are).
-_DOCUMENTED_PATTERNS = {
-    2: (("E8t", "E8t", "IV"), {"IV": ("resolve",)}),
-    6: (("E8t",) * 7 + ("II_cusp",), {"II_cusp": ("resolve", "replace", "skip")}),
-}
+class WorkedExample(NamedTuple):
+    """A construction the source works out in E(n) # k CP2bar; ``fibers``
+    is in canonical order, or None for the reference tree."""
+
+    n: int
+    k: int
+    fibers: tuple[str, ...] | None
+    choices: dict[int, str]
+    edge_blowups: int
+    point_blowups: int
+    square: int
+    what: str
+    vertices: int | None = None
 
 
-def _documented_choices(n: int, names_sorted: tuple[str, ...]) -> dict | None:
-    """Per-type choices of the documented construction on this multiset, or None."""
+_E6_CUSP = ("E8t",) * 7 + ("II_cusp",)
+
+#: The source's worked examples, replayed one by one by ``verify-paper``.
+#: Their choices on multisets other than the reference decomposition are
+#: the documented constructions behind ``paper_verified`` provenance.
+WORKED_EXAMPLES = (
+    WorkedExample(2, 0, None, {}, 0, 0, -86, "reference tree"),
+    WorkedExample(2, 1, ("E8t", "E8t", "IV"), {2: "resolve"}, 0, 0, -92,
+                  "type-IV fiber resolved", vertices=23),
+    WorkedExample(6, 0, None, {}, 0, 0, -262, "reference tree"),
+    WorkedExample(6, 0, _E6_CUSP, {7: "skip"}, 0, 0, -258, "seven E8t fibers, cusp left out",
+                  vertices=64),
+    WorkedExample(6, 1, None, {}, 0, 1, -266, "point blow-up on the section (tube)"),
+    WorkedExample(6, 1, None, {}, 1, 0, -267, "one edge blow-up"),
+    WorkedExample(6, 1, _E6_CUSP, {7: "replace"}, 0, 0, -269, "cusp replaced by a (-9)-sphere"),
+    WorkedExample(6, 3, None, {}, 3, 0, -277, "three edge blow-ups"),
+    WorkedExample(6, 3, _E6_CUSP, {7: "resolve"}, 0, 0, -278, "cusp resolved"),
+    WorkedExample(6, 3, _E6_CUSP, {7: "replace"}, 2, 0, -279, "cusp replaced, two edge blow-ups"),
+)
+
+
+# one set lookup per spec, so enumerate_specs does not scan the table
+_WORKED_SPECS = {(row.n, row.fibers) for row in WORKED_EXAMPLES if row.fibers is not None}
+
+
+def _documented_choices(n: int, names_sorted: tuple[str, ...]) -> set | None:
+    """The (type, choice) pairs the source's constructions make on this
+    multiset, or None when it builds none there.  A reference tree uses
+    every fiber as it is."""
     if names_sorted == reference_decomposition(n).fibers:
-        return {}
-    fibers, choices = _DOCUMENTED_PATTERNS.get(n, ((), None))
-    return choices if names_sorted == fibers else None
+        return {(name, "use") for name in names_sorted}
+    if (n, names_sorted) not in _WORKED_SPECS:
+        return None
+    return {(name, row.choices.get(i, "use"))
+            for row in WORKED_EXAMPLES if (row.n, row.fibers) == (n, names_sorted)
+            for i, name in enumerate(names_sorted)}
 
 
 def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
@@ -430,16 +469,12 @@ def best_sphere(
     plan = _plan_from_counts(names, plan_counts)
 
     graph = replay_plan(spec, plan, k=k)
-    square = graph.smooth()
-    oracle = oracle_square(graph, graph.two_coloring())
-    if not (square == oracle == value):
-        raise AssertionError(
-            f"replay mismatch: model {value}, smooth {square}, oracle {oracle}"
-        )
+    square = checked_square(graph)
+    if square != value:
+        raise AssertionError(f"replay mismatch: model {value}, checked square {square}")
 
     on_pattern = documented is not None and all(
-        plan.resolutions.get(i, "use") in documented.get(name, ("use",))
-        for i, name in enumerate(fibers)
+        (name, plan.resolutions.get(i, "use")) in documented for i, name in enumerate(fibers)
     )
     provenance = PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
     return SearchResult(

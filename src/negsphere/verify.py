@@ -2,27 +2,34 @@
 
 Every documented value the package claims to reproduce is recomputed
 here from scratch: group relations, the catalog, the s(n) table with its
-closed-form comparison, the worked E(2)/E(6) examples, blow-up deltas,
-search rediscovery and the ratio screen.  Each item reports PASS/FAIL
-with the numbers it saw.
+closed-form comparison, the worked E(2)/E(6) examples (one item per row
+of ``search.WORKED_EXAMPLES``), blow-up deltas, search rediscovery and
+the ratio screen.  Each item reports PASS/FAIL with the numbers it saw.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from . import sl2z
 from .fibers import catalog, cusp_replacement, resolve
 from .fibration import (
     FibrationSpec,
     betti,
-    build_tree,
     closed_form_square,
     construction_square,
     reference_decomposition,
 )
-from .plumbing import PlumbingGraph, oracle_square
-from .search import best_sphere, blowup_guarantee, conjecture_check
+from .plumbing import PlumbingGraph, checked_square
+from .search import (
+    WORKED_EXAMPLES,
+    BlowupPlan,
+    best_sphere,
+    blowup_guarantee,
+    conjecture_check,
+    replay_plan,
+)
 
 
 def _check_group_relations():
@@ -86,19 +93,9 @@ def _check_cusp_replacement():
 
 
 def _check_s_table():
-    for n in range(2, 21):
-        graph, _ = build_tree(reference_decomposition(n))
-        smooth = graph.smooth()
-        oracle = oracle_square(graph, graph.two_coloring())
-        if not (smooth == oracle == construction_square(n)):
-            return False, f"n={n}: smooth {smooth}, oracle {oracle}"
-    return True, "n = 2..20: construction = tree smoothing = quadratic form"
-
-
-def _check_anchors():
-    s2, s6 = construction_square(2), construction_square(6)
-    ok = s2 == -86 and s6 == -262
-    return ok, f"s(2) = {s2}, s(6) = {s6}"
+    # construction_square raises when smoothing and the oracle disagree
+    squares = [construction_square(n) for n in range(2, 21)]
+    return True, f"n = 2..20: smoothing = quadratic form, s(n) from {squares[0]} to {squares[-1]}"
 
 
 def _check_closed_form():
@@ -130,52 +127,14 @@ def _check_chain_identity():
     return True, "x, y in -6..-1, k <= 4, every edge sequence"
 
 
-def _check_k3_blowup_example():
-    spec = FibrationSpec(n=2, fibers=("E8t", "E8t", "IV"))
-    graph, used = build_tree(spec, resolutions={2: "resolve"})
-    ok = graph.vertex_count == 23 and graph.smooth() == -92 and used == 1
-    return ok, f"23-vertex tree: {graph.vertex_count} vertices, smooth {graph.smooth()}"
-
-
-def _e6_cusp_spec() -> FibrationSpec:
-    return FibrationSpec(n=6, fibers=("E8t",) * 7 + ("II_cusp",))
-
-
-def _check_e6_partial():
-    graph, used = build_tree(_e6_cusp_spec(), resolutions={7: "skip"})
-    ok = graph.vertex_count == 64 and graph.smooth() == -258 and used == 0
-    return ok, f"{graph.vertex_count} vertices, smooth {graph.smooth()}"
-
-
-def _check_e6_one_blowup():
-    base, _ = build_tree(reference_decomposition(6))
-    tube = base.blow_up_point_on_vertex(0).smooth()
-    edge = base.blow_up_edge(min(base.edges)).smooth()
-    replaced, used = build_tree(_e6_cusp_spec(), resolutions={7: "replace"})
-    rep = replaced.smooth()
-    ok = tube == -266 and edge == -267 and rep == -269 and used == 1
-    return ok, f"tube {tube}, edge blow-up {edge}, cusp replacement {rep}"
-
-
-def _check_e6_three_blowups():
-    graph, _ = build_tree(reference_decomposition(6))
-    for _ in range(3):
-        graph = graph.blow_up_edge(min(graph.edges))
-    edges3 = graph.smooth()
-    resolved, used_res = build_tree(_e6_cusp_spec(), resolutions={7: "resolve"})
-    cusp3 = resolved.smooth()
-    replaced, used_rep = build_tree(_e6_cusp_spec(), resolutions={7: "replace"})
-    for _ in range(2):
-        replaced = replaced.blow_up_edge(min(replaced.edges))
-    rep3 = replaced.smooth()
-    ok = (
-        edges3 == -277
-        and cusp3 == -278
-        and used_res == 3
-        and rep3 == -279
-        and used_rep == 1
-    )
-    return ok, f"edge blow-ups {edges3}, cusp resolution {cusp3}, replacement+edges {rep3}"
+def _check_worked_example(row):
+    spec = (reference_decomposition(row.n) if row.fibers is None
+            else FibrationSpec(row.n, row.fibers))
+    plan = BlowupPlan(row.choices, row.edge_blowups, row.point_blowups)
+    graph = replay_plan(spec, plan, k=row.k)  # k: the budget must be spent exactly
+    square = checked_square(graph)
+    ok = square == row.square and row.vertices in (None, graph.vertex_count)
+    return ok, f"{graph.vertex_count} vertices, budget {row.k} spent, smooth = oracle = {square}"
 
 
 def _check_guarantees():
@@ -214,13 +173,13 @@ BATTERY = (
     ("resolution recipes for II_cusp, III, IV", _check_resolutions),
     ("cusp replacement gives a (-9)-sphere for one blow-up", _check_cusp_replacement),
     ("s-table n = 2..20 agrees with the quadratic-form oracle", _check_s_table),
-    ("anchors: E(2) -86 and E(6) -262", _check_anchors),
     ("closed form vs construction (difference only at multiples of 5)", _check_closed_form),
     ("two-sphere blow-up identity x + y - 2 - 5k", _check_chain_identity),
-    ("E(2)#1: type-IV resolution gives the 23-vertex -92 tree", _check_k3_blowup_example),
-    ("E(6): seven-E8t partial tree smooths to -258", _check_e6_partial),
-    ("E(6)#1: tube -266, edge blow-up -267, cusp replacement -269", _check_e6_one_blowup),
-    ("E(6)#3: -277 / -278 / -279 via the three strategies", _check_e6_three_blowups),
+    *(
+        (f"E({row.n})#{row.k} worked example: {row.what} gives {row.square}",
+         partial(_check_worked_example, row))
+        for row in WORKED_EXAMPLES
+    ),
     ("blow-up guarantees: (2,1) -91, (6,0) -262, (6,3) -277", _check_guarantees),
     ("search rediscovery: -86, -92, -269, -279", _check_search_rediscovery),
     ("ratio screen: -43/11 and -279/73, both above -5", _check_ratio_screen),

@@ -3,10 +3,11 @@ import time
 
 import pytest
 
+from negsphere import cli, fibration
 from negsphere.cli import main
 from negsphere.fibration import FibrationSpec
 from negsphere.plumbing import PlumbingGraph
-from negsphere.search import BlowupPlan, replay_plan
+from negsphere.search import WORKED_EXAMPLES, BlowupPlan, replay_plan
 
 
 def run(capsys, *argv):
@@ -267,3 +268,50 @@ def test_build_replays_a_search_plan_at_the_guard(tmp_path, capsys):
     built = json.loads(out)
     assert built["smooth"] == built["oracle"] == found["best_square"]
     assert built["blowups_used"] == 50
+
+
+def test_build_validates_the_spec_once(tmp_path, capsys, monkeypatch):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"n": 6, "fibers": ["E8t"] * 7 + ["II_cusp"]}))
+    plan_file = tmp_path / "plan.json"
+    plan_file.write_text(json.dumps({"resolutions": {"7": "replace"}}))
+    calls = []
+    validate = fibration.validate
+    for module in (fibration, cli):  # count a handler's own imported reference too
+        monkeypatch.setattr(module, "validate", lambda spec: calls.append(spec.n) or validate(spec),
+                            raising=False)
+    code, out, _ = run(capsys, "build", str(spec_file), "--plan", str(plan_file))
+    assert code == 0 and "-269" in out
+    assert calls == [6]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-paper", "--dot", "x.dot"],
+        ["verify-paper", "--max-n", "3"],
+        ["formula", "2", "--dot", "x.dot"],
+        ["formula", "2", "--max-k", "3"],
+        ["formula", "2", "--extended-fibers"],
+        ["catalog", "--max-n", "3"],
+        ["catalog", "--extended-fibers"],
+        ["conjecture", "--dot", "x.dot"],
+        ["build", "spec.json", "--extended-fibers"],
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.dot").exists()
+
+
+def test_verify_paper_replays_every_worked_example(capsys):
+    code, out, _ = run(capsys, "verify-paper", "--json")
+    assert code == 0
+    passed = [item["name"] for item in json.loads(out)["items"] if item["passed"]]
+    for row in WORKED_EXAMPLES:
+        label = f"E({row.n})#{row.k} worked example: {row.what} gives {row.square}"
+        assert passed.count(label) == 1

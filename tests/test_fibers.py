@@ -2,15 +2,18 @@ import pytest
 
 from negsphere import sl2z
 from negsphere.fibers import (
+    AB_POWER_FIBERS,
     FIBER_ORDER,
     FRAGMENT_FIBERS,
     RESOLVABLE_FIBERS,
+    PlumbingFragment,
     catalog,
     catalog_json,
     cusp_replacement,
     fiber,
     resolve,
 )
+from negsphere.search import DEFAULT_FIBERS, EXTENDED_ONLY_FIBERS
 
 EXPECTED_WORDS = {
     "E8t": "ab" * 5,
@@ -179,3 +182,37 @@ def test_option_adjusted_gains():
         ("II_cusp", "resolve"): -5, ("II_cusp", "replace"): -6, ("II_cusp", "skip"): 0,
         ("I1_nodal", "skip"): 0,
     }
+
+
+@pytest.mark.parametrize(
+    "weights, edges, attachment",
+    [
+        ((-2, -2, -2), ((0, 1), (1, 2), (0, 2)), 0),  # cycle
+        ((-2, -2), (), 0),  # disconnected pair
+        ((-2, -2), ((0, 0),), 0),  # self-loop
+        ((-2, -2, -2), ((0, 1), (1, 0)), 0),  # duplicate edge
+        ((-2, -2), ((0, 1),), 2),  # attachment out of range
+    ],
+    ids=["cycle", "disconnected", "self-loop", "duplicate-edge", "attachment"],
+)
+def test_fragment_rejects_malformed_shapes(weights, edges, attachment):
+    with pytest.raises(ValueError):
+        PlumbingFragment(weights=weights, edges=edges, attachment=attachment)
+
+
+def test_catalog_json_lists_options_in_tie_break_order():
+    by_name = {item["name"]: item for item in catalog_json()}
+    options = by_name["II_cusp"]["options"]
+    assert [o["choice"] for o in options] == ["resolve", "replace", "skip"]
+    replace = options[1]
+    assert replace["blowups"] == 1 and replace["adjusted_gain"] == -6
+    assert [v["weight"] for v in replace["fragment"]["vertices"]] == [-9]
+    assert replace["fragment"]["edges"] == []
+    assert options[2]["fragment"] is None
+    assert [o["choice"] for o in by_name["E8t"]["options"]] == ["use", "skip"]
+
+
+def test_ab_power_fibers_are_the_default_search_set():
+    assert AB_POWER_FIBERS == {"E8t", "E6t", "I0star", "IV", "II_cusp"}
+    assert DEFAULT_FIBERS == ("E8t", "E6t", "I0star", "IV", "II_cusp")
+    assert EXTENDED_ONLY_FIBERS == ("E7t", "III", "I1_nodal")

@@ -17,7 +17,7 @@ from negsphere.fibration import (
     reference_decomposition,
     validate,
 )
-from negsphere.plumbing import oracle_square
+from negsphere.plumbing import PlumbingGraph, oracle_square
 
 
 def spec_of(n, *names):
@@ -243,3 +243,11 @@ def test_canonical_sorting():
 def test_build_rejects_resolution_index_past_last_fiber():
     with pytest.raises(ValidationError, match="out of range"):
         build_tree(reference_decomposition(2), resolutions={3: "skip"})
+
+
+def test_construction_square_is_oracle_checked(monkeypatch):
+    # a smoothing that is off by one must not reach a reported square
+    smooth = PlumbingGraph.smooth
+    monkeypatch.setattr(PlumbingGraph, "smooth", lambda graph: smooth(graph) - 1)
+    with pytest.raises(AssertionError, match="oracle"):
+        construction_square(2)

@@ -126,6 +126,14 @@ def test_smooth_rejects_disconnected():
         g.smooth()
 
 
+def test_smooth_rejects_an_odd_cycle_beside_an_unreached_vertex():
+    # fewer edges than vertices, so a cycle means some vertex is unreached
+    g = PlumbingGraph.from_weights([-2] * 4, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(PlumbingError, match="disconnected"):
+        g.smooth()
+    assert not g.is_tree()
+
+
 def test_smooth_rejects_positive_genus():
     g = PlumbingGraph.from_weights([-2], genera=[1])
     with pytest.raises(PlumbingError, match="genus"):
