@@ -207,7 +207,7 @@ def _cmd_search(args) -> int:
                          max_n=args.max_n, max_k=args.max_k)
     ratio, satisfies = conjecture_check(result)
     if args.dot:
-        _write_dot(args.dot, replay_plan(result.spec, result.plan, k=result.k).to_dot())
+        _write_dot(args.dot, result.graph.to_dot())
     if args.json:
         payload = result.to_json_dict()
         payload["satisfies_candidate_bound"] = satisfies

@@ -6,10 +6,15 @@ graph; ``smooth`` computes the self-intersection of the single sphere
 obtained by orienting the components via a two-coloring (so every
 intersection is negative) and smoothing every crossing.
 
-Graphs are values: rewrites return new graphs and never mutate their
-input, so concurrent evaluation needs no coordination.  Cycles and
-positive genus are rejected only when smoothing, not at construction
-time, leaving intermediate experiments unrestricted.
+A graph changes only through ``add_vertex``/``add_edge`` and the
+rewrites, which return new graphs and never mutate their input.  Facts
+derived from the edges (the edge set behind the duplicate check, whether
+the graph is a tree, its two-coloring) are computed at most once per
+graph: ``add_edge`` extends the edge set, ``add_vertex``/``add_edge``
+drop the other two, and rewrites carry forward what they preserve (a
+blow-up keeps a tree a tree).  Cycles and positive
+genus are rejected only when smoothing, not at construction time,
+leaving intermediate experiments unrestricted.
 """
 
 from __future__ import annotations
@@ -33,6 +38,12 @@ class PlumbingGraph:
     exceptional: list[bool] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
+    # derived from the edges on first use; add_edge extends the edge set, and
+    # add_vertex/add_edge drop the tree flag and the coloring
+    _edge_set: set | None = field(default=None, init=False, repr=False, compare=False)
+    _tree: bool | None = field(default=None, init=False, repr=False, compare=False)
+    _coloring: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
@@ -63,6 +74,7 @@ class PlumbingGraph:
         self.labels.append(label if label is not None else f"v{index}")
         self.genera.append(genus)
         self.exceptional.append(exceptional)
+        self._tree = self._coloring = None
         return index
 
     def add_edge(self, u: int, v: int) -> None:
@@ -72,11 +84,17 @@ class PlumbingGraph:
         if u == v:
             raise PlumbingError("self-loops are not allowed")
         key = _edge_key(u, v)
-        if key in self.edges:
+        if self._edge_set is None:
+            self._edge_set = set(self.edges)
+        if key in self._edge_set:
             raise PlumbingError(f"edge {key} already present (tangencies not modelled)")
+        self._edge_set.add(key)
         self.edges.append(key)
+        self._tree = self._coloring = None
 
     def copy(self) -> "PlumbingGraph":
+        """An independent copy; it derives its facts afresh, unless the
+        rewrite that made it carries them."""
         dup = PlumbingGraph(
             weights=list(self.weights),
             labels=list(self.labels),
@@ -99,14 +117,16 @@ class PlumbingGraph:
 
     def is_tree(self) -> bool:
         """Connected with one edge fewer than vertices: the two-coloring's
-        traversal reaches every vertex."""
-        if len(self.edges) != len(self.weights) - 1:
-            return False
-        try:
-            self.two_coloring()
-        except PlumbingError:
-            return False
-        return True
+        traversal reaches every vertex.  Derived at most once per graph."""
+        if self._tree is None:
+            if len(self.edges) != len(self.weights) - 1:
+                self._tree = False
+            else:
+                try:
+                    self.two_coloring()  # sets the flag
+                except PlumbingError:
+                    self._tree = False
+        return self._tree
 
     # -- rewrites ----------------------------------------------------------
 
@@ -128,6 +148,9 @@ class PlumbingGraph:
         w = out.add_vertex(-1, label=f"e{len(out.weights)}", exceptional=True)
         out.edges.append(_edge_key(u, w))
         out.edges.append(_edge_key(v, w))
+        # subdividing an edge keeps a tree a tree; the coloring is not
+        # carried, since one side of the blown-up edge flips
+        out._tree = self._tree
         out.trace.append({"op": "blow_up_edge", "edge": [u, v], "new_vertex": w})
         return out
 
@@ -144,6 +167,10 @@ class PlumbingGraph:
         out.weights[vertex] -= 1
         w = out.add_vertex(-1, label=f"e{len(out.weights)}", exceptional=True)
         out.edges.append(_edge_key(vertex, w))
+        # a new leaf keeps a tree a tree and takes the color opposite its neighbour
+        out._tree = self._tree
+        if self._coloring is not None:
+            out._coloring = self._coloring + (-self._coloring[vertex],)
         out.trace.append({"op": "blow_up_point", "vertex": vertex, "new_vertex": w})
         return out
 
@@ -154,7 +181,10 @@ class PlumbingGraph:
 
         Encodes the orientation choice making every intersection negative.
         Raises for odd cycles (not bipartite) and for disconnected input.
+        Derived at most once per graph; a success also settles ``is_tree``.
         """
+        if self._coloring is not None:
+            return self._coloring
         n = len(self.weights)
         if n == 0:
             raise PlumbingError("cannot color an empty graph")
@@ -178,22 +208,25 @@ class PlumbingGraph:
                     raise PlumbingError("not bipartite (odd cycle present)")
         if count != n:
             raise PlumbingError("graph is disconnected")
-        return tuple(colors)
+        self._coloring = tuple(colors)
+        self._tree = len(self.edges) == n - 1
+        return self._coloring
 
     def smooth(self) -> int:
         """Self-intersection of the sphere obtained by smoothing all crossings.
 
         Valid only for a connected tree of genus-0 vertices; the result is
         sum(weights) - 2 * edge_count, one -2 per smoothed negative crossing.
+        Tree-ness is derived at most once per graph (see ``is_tree``).
         """
         n = len(self.weights)
         if n == 0:
             raise PlumbingError("cannot smooth an empty graph")
-        for i, g in enumerate(self.genera):
-            if g != 0:
-                raise PlumbingError(
-                    f"vertex {i} has genus {g}; smoothing to a sphere needs genus 0"
-                )
+        if any(self.genera):
+            i, g = next((i, g) for i, g in enumerate(self.genera) if g)
+            raise PlumbingError(
+                f"vertex {i} has genus {g}; smoothing to a sphere needs genus 0"
+            )
         if len(self.edges) >= n:
             raise PlumbingError("graph has a cycle; smoothing would not give a sphere")
         if not self.is_tree():
@@ -255,7 +288,8 @@ def dot_graph(name: str, components) -> str:
 def checked_square(graph: PlumbingGraph) -> int:
     """``graph.smooth()`` confirmed by ``oracle_square``; every square the
     package reports passes through here.  A mismatch is a program fault,
-    not bad input, so it raises AssertionError."""
+    not bad input, so it raises AssertionError.  One traversal at most:
+    the oracle reads the coloring the tree check derived."""
     square = graph.smooth()
     oracle = oracle_square(graph, graph.two_coloring())
     if square != oracle:

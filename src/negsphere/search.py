@@ -68,6 +68,8 @@ class BlowupPlan:
     type's default (see ``fibration.build_tree``).  Whatever the
     resolutions do not consume is spent as ``edge_blowups`` (then
     ``point_blowups``); resolutions + edges + points must equal k.
+    Hashable, consistently with ``==``: the hash reads the resolutions as
+    sorted items.
     """
 
     resolutions: dict[int, str] = field(default_factory=dict)
@@ -82,6 +84,10 @@ class BlowupPlan:
         for i in self.resolutions:
             if i < 0:
                 raise ValidationError(f"resolution fiber index must be >= 0, got {i}")
+
+    def __hash__(self) -> int:
+        return hash((tuple(sorted(self.resolutions.items())),
+                     self.edge_blowups, self.point_blowups))
 
     def blowup_cost(self, spec: FibrationSpec) -> int:
         return sum(fiber_option(spec, i, c).blowups for i, c in self.resolutions.items())
@@ -111,6 +117,10 @@ class BlowupPlan:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The winner of a search.  ``graph`` is the replayed, oracle-checked
+    plumbing graph; it is left out of ``==`` and of the JSON form, which
+    carries its ``trace``.  Not hashable: ``trace`` is a list of dicts."""
+
     n: int
     k: int
     best_square: int
@@ -119,6 +129,7 @@ class SearchResult:
     trace: list[dict]
     ratio: Fraction
     provenance: str
+    graph: PlumbingGraph | None = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -486,6 +497,7 @@ def best_sphere(
         trace=list(graph.trace),
         ratio=Fraction(value, betti(n, k).b2),
         provenance=provenance,
+        graph=graph,
     )
 
 

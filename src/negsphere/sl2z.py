@@ -17,6 +17,13 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 GENERATOR_NAMES = ("a", "b")
+_LETTERS = frozenset(GENERATOR_NAMES)
+
+
+def _check_int64(entries) -> None:
+    for entry in entries:
+        if not INT64_MIN <= entry <= INT64_MAX:
+            raise OverflowError(f"matrix entry {entry} exceeds the signed 64-bit range")
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,11 +36,7 @@ class GroupElement:
     m22: int
 
     def __post_init__(self) -> None:
-        for entry in (self.m11, self.m12, self.m21, self.m22):
-            if not INT64_MIN <= entry <= INT64_MAX:
-                raise OverflowError(
-                    f"matrix entry {entry} exceeds the signed 64-bit range"
-                )
+        _check_int64((self.m11, self.m12, self.m21, self.m22))
         det = self.m11 * self.m22 - self.m12 * self.m21
         if det != 1:
             raise ValueError(f"determinant must be 1, got {det}")
@@ -80,18 +83,35 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 def normalize_word(word: str) -> str:
     """Lower-case a monodromy word, rejecting letters outside {a, b}."""
     text = str(word).lower()
-    for ch in text:
-        if ch not in GENERATOR_NAMES:
-            raise ValueError(f"invalid letter {ch!r} in monodromy word")
+    if not set(text) <= _LETTERS:
+        bad = next(ch for ch in text if ch not in _LETTERS)
+        raise ValueError(f"invalid letter {bad!r} in monodromy word")
     return text
 
 
 def word_to_matrix(word: str) -> GroupElement:
-    """Left-to-right product of generator matrices; the empty word is the identity."""
-    result = IDENTITY
+    """Left-to-right product of generator matrices; the empty word is the identity.
+
+    Folds the word over four plain ints: right-multiplying by ``a`` adds
+    the first column to the second, by ``b`` subtracts the second from the
+    first.  Every step is checked like a ``GroupElement``: all four
+    entries inside 64 bits (else OverflowError at the first step that
+    leaves them) and determinant 1.
+    """
+    m11, m12, m21, m22 = 1, 0, 0, 1
     for ch in normalize_word(word):
-        result = compose(result, _GENERATORS[ch])
-    return result
+        if ch == "a":
+            m12 += m11
+            m22 += m21
+        else:
+            m11 -= m12
+            m21 -= m22
+        if not (INT64_MIN <= m11 <= INT64_MAX and INT64_MIN <= m12 <= INT64_MAX
+                and INT64_MIN <= m21 <= INT64_MAX and INT64_MIN <= m22 <= INT64_MAX):
+            _check_int64((m11, m12, m21, m22))
+        if m11 * m22 - m12 * m21 != 1:
+            raise ValueError(f"determinant must be 1, got {m11 * m22 - m12 * m21}")
+    return GroupElement(m11, m12, m21, m22)
 
 
 def is_identity(g: GroupElement) -> bool:

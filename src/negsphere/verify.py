@@ -10,7 +10,7 @@ the ratio screen.  Each item reports PASS/FAIL with the numbers it saw.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import sl2z
 from .fibers import catalog, cusp_replacement, resolve
@@ -92,17 +92,17 @@ def _check_cusp_replacement():
     return ok, f"single sphere {fragment.weights[0]}, {used} blow-up"
 
 
-def _check_s_table():
+def _check_s_table(square):
     # construction_square raises when smoothing and the oracle disagree
-    squares = [construction_square(n) for n in range(2, 21)]
+    squares = [square(n) for n in range(2, 21)]
     return True, f"n = 2..20: smoothing = quadratic form, s(n) from {squares[0]} to {squares[-1]}"
 
 
-def _check_closed_form():
+def _check_closed_form(square):
     details = []
     ok = True
     for n in range(2, 21):
-        built = construction_square(n)
+        built = square(n)
         printed = closed_form_square(n)
         if n % 5 == 0:
             good = printed - built == 4
@@ -166,30 +166,36 @@ def _check_ratio_screen():
     )
 
 
-BATTERY = (
-    ("group braid relation aba = bab and torsion (ab)^6 = 1", _check_group_relations),
-    ("(ab)^3 is minus the identity and (aba)^2 = (ab)^3", _check_torsion_sign),
-    ("catalog words, Euler numbers and fragment consistency", _check_catalog),
-    ("resolution recipes for II_cusp, III, IV", _check_resolutions),
-    ("cusp replacement gives a (-9)-sphere for one blow-up", _check_cusp_replacement),
-    ("s-table n = 2..20 agrees with the quadratic-form oracle", _check_s_table),
-    ("closed form vs construction (difference only at multiples of 5)", _check_closed_form),
-    ("two-sphere blow-up identity x + y - 2 - 5k", _check_chain_identity),
-    *(
-        (f"E({row.n})#{row.k} worked example: {row.what} gives {row.square}",
-         partial(_check_worked_example, row))
-        for row in WORKED_EXAMPLES
-    ),
-    ("blow-up guarantees: (2,1) -91, (6,0) -262, (6,3) -277", _check_guarantees),
-    ("search rediscovery: -86, -92, -269, -279", _check_search_rediscovery),
-    ("ratio screen: -43/11 and -279/73, both above -5", _check_ratio_screen),
-)
+def _battery(square):
+    """(name, check) pairs in battery order; ``square(n)`` is the reference
+    tree's checked square, shared by the s-table and closed-form items."""
+    return (
+        ("group braid relation aba = bab and torsion (ab)^6 = 1", _check_group_relations),
+        ("(ab)^3 is minus the identity and (aba)^2 = (ab)^3", _check_torsion_sign),
+        ("catalog words, Euler numbers and fragment consistency", _check_catalog),
+        ("resolution recipes for II_cusp, III, IV", _check_resolutions),
+        ("cusp replacement gives a (-9)-sphere for one blow-up", _check_cusp_replacement),
+        ("s-table n = 2..20 agrees with the quadratic-form oracle",
+         partial(_check_s_table, square)),
+        ("closed form vs construction (difference only at multiples of 5)",
+         partial(_check_closed_form, square)),
+        ("two-sphere blow-up identity x + y - 2 - 5k", _check_chain_identity),
+        *(
+            (f"E({row.n})#{row.k} worked example: {row.what} gives {row.square}",
+             partial(_check_worked_example, row))
+            for row in WORKED_EXAMPLES
+        ),
+        ("blow-up guarantees: (2,1) -91, (6,0) -262, (6,3) -277", _check_guarantees),
+        ("search rediscovery: -86, -92, -269, -279", _check_search_rediscovery),
+        ("ratio screen: -43/11 and -279/73, both above -5", _check_ratio_screen),
+    )
 
 
 def run_battery() -> list[dict]:
-    """Run every check; returns [{name, passed, detail}] in battery order."""
+    """Run every check; returns [{name, passed, detail}] in battery order.
+    Each reference tree is built once per run (a failed build is retried)."""
     report = []
-    for name, check in BATTERY:
+    for name, check in _battery(cache(construction_square)):
         try:
             passed, detail = check()
         except Exception as exc:  # a crash is a failure, not an abort

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from negsphere import cli, fibration
+from negsphere import cli, fibration, verify
+from negsphere import search as search_module
 from negsphere.cli import main
 from negsphere.fibration import FibrationSpec
 from negsphere.plumbing import PlumbingGraph
@@ -315,3 +316,33 @@ def test_verify_paper_replays_every_worked_example(capsys):
     for row in WORKED_EXAMPLES:
         label = f"E({row.n})#{row.k} worked example: {row.what} gives {row.square}"
         assert passed.count(label) == 1
+
+
+def test_search_dot_replays_the_winner_once(tmp_path, capsys, monkeypatch):
+    dot_file = tmp_path / "t.dot"
+    calls = []
+    replay = search_module.replay_plan
+    for module in (search_module, cli):
+        monkeypatch.setattr(module, "replay_plan",
+                            lambda *a, **kw: calls.append(a[0].n) or replay(*a, **kw),
+                            raising=False)
+    code, _, _ = run(capsys, "search", "6", "3", "--dot", str(dot_file))
+    assert code == 0
+    assert calls == [6]
+    monkeypatch.undo()
+    result = search_module.best_sphere(6, 3)
+    expected = replay_plan(result.spec, result.plan, k=3).to_dot() + "\n"
+    assert dot_file.read_text(encoding="utf-8") == expected
+
+
+def test_verify_paper_builds_each_reference_tree_once(capsys, monkeypatch):
+    calls = []
+    square = fibration.construction_square
+    for module in (fibration, search_module, verify):
+        monkeypatch.setattr(module, "construction_square",
+                            lambda n: calls.append(n) or square(n))
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0 and "(21/21)" in out
+    # n = 2..20 once each for the s-table and closed-form items, plus the guarantees
+    assert sorted(set(calls)) == list(range(2, 21))
+    assert len(calls) <= 22

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negsphere.fibers import fiber
-from negsphere.plumbing import PlumbingError, PlumbingGraph, oracle_square
+from negsphere.plumbing import PlumbingError, PlumbingGraph, checked_square, oracle_square
 
 from treegen import random_tree_graph
 
@@ -258,3 +258,135 @@ def test_property_blowup_deltas(g, pick):
     out = g.blow_up_point_on_vertex(v)
     assert out.smooth() == s - 4
     assert out.is_tree()
+
+
+# -- facts derived once and carried by rewrites ---------------------------------
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except PlumbingError as exc:
+        return ("error", str(exc))
+
+
+def _facts(g):
+    return g.is_tree(), _outcome(g.two_coloring), _outcome(g.smooth)
+
+
+def _fresh(g):
+    return PlumbingGraph.from_json_dict(g.to_json_dict())
+
+
+def _observe(g):
+    """The facts of g, read on a copy that holds what g has derived so
+    far, so that g itself derives nothing new."""
+    clone = g.copy()
+    clone._tree, clone._coloring = g._tree, g._coloring
+    return _facts(clone)
+
+
+_OPS = ("vertex", "edge", "blow_up_edge", "blow_up_point", "smooth", "two_coloring", "facts")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_OPS), st.integers(0, 10**6), st.integers(0, 10**6)),
+                max_size=30))
+def test_property_derived_facts_match_a_fresh_graph(ops):
+    g = PlumbingGraph()
+    for op, x, y in ops:
+        n = g.vertex_count
+        if op == "vertex":
+            g.add_vertex(-(x % 9) - 1, genus=int(y % 11 == 0))
+        elif op == "edge" and n:
+            try:
+                g.add_edge(x % n, y % n)
+            except PlumbingError:
+                pass  # a self-loop or a duplicate leaves the graph as it was
+        elif op == "blow_up_edge" and g.edges:
+            g = g.blow_up_edge(g.edges[x % len(g.edges)])
+        elif op == "blow_up_point" and n:
+            g = g.blow_up_point_on_vertex(x % n)
+        elif op == "smooth":
+            _outcome(g.smooth)
+        elif op == "two_coloring":
+            _outcome(g.two_coloring)
+        elif op == "facts":
+            assert _facts(g) == _facts(_fresh(g))
+        assert _observe(g) == _facts(_fresh(g))
+    assert _facts(g) == _facts(_fresh(g))
+
+
+def test_closing_a_cycle_after_smooth_is_rejected():
+    g = chain(-2, -2, -2)
+    assert g.smooth() == -10 and g.is_tree()
+    g.add_edge(0, 2)
+    assert not g.is_tree()
+    with pytest.raises(PlumbingError, match="cycle"):
+        g.smooth()
+    with pytest.raises(PlumbingError, match="not bipartite"):
+        g.two_coloring()
+
+
+def test_an_even_cycle_colors_but_is_no_tree():
+    g = PlumbingGraph.from_weights([-2] * 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert g.two_coloring() == (1, -1, 1, -1)
+    assert not g.is_tree()
+    for out in (g.blow_up_point_on_vertex(0), g.blow_up_edge((0, 1))):
+        assert not out.is_tree()
+        with pytest.raises(PlumbingError, match="cycle"):
+            out.smooth()
+
+
+def test_add_vertex_after_smooth_makes_the_graph_disconnected():
+    g = chain(-2, -2)
+    g.smooth()
+    g.add_vertex(-3)
+    with pytest.raises(PlumbingError, match="disconnected"):
+        g.smooth()
+
+
+def test_duplicate_edge_rejected_after_a_blow_up_copy():
+    g = chain(-2, -2, -2)
+    out = g.blow_up_edge((0, 1))
+    with pytest.raises(PlumbingError, match="already present"):
+        out.add_edge(2, 1)
+    with pytest.raises(PlumbingError, match="already present"):
+        out.add_edge(3, 0)  # an edge the blow-up made
+    out.add_edge(0, 1)  # the blown-up edge is gone, so it may come back
+    with pytest.raises(PlumbingError, match="already present"):
+        g.add_edge(1, 0)  # the input keeps its edges
+
+
+def test_point_blow_up_extends_the_coloring():
+    g = chain(-2, -2, -2)
+    g.two_coloring()
+    out = g.blow_up_point_on_vertex(1)
+    assert out.two_coloring() == (1, -1, 1, 1) == _fresh(out).two_coloring()
+
+
+def _count_traversals(monkeypatch):
+    """Patch two_coloring to record each call that has to traverse."""
+    traversals = []
+    original = PlumbingGraph.two_coloring
+
+    def counting(self):
+        if self._coloring is None:
+            traversals.append(self.vertex_count)
+        return original(self)
+
+    monkeypatch.setattr(PlumbingGraph, "two_coloring", counting)
+    return traversals
+
+
+def test_checked_square_traverses_each_graph_once(monkeypatch):
+    traversals = _count_traversals(monkeypatch)
+    g = chain(-2, -3, -4, -5)
+    assert checked_square(g) == g.smooth() == -20
+    assert traversals == [4]
+    out = g.blow_up_edge((1, 2)).blow_up_edge((0, 1))  # stays a tree, coloring dropped
+    assert checked_square(out) == out.smooth() == -30
+    assert traversals == [4, 6]
+    pointed = out.blow_up_point_on_vertex(5)  # tree flag and coloring carried
+    assert checked_square(pointed) == -34
+    assert traversals == [4, 6]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -16,7 +17,7 @@ from negsphere.fibration import (
     reference_decomposition,
     validate,
 )
-from negsphere.plumbing import PlumbingError, oracle_square
+from negsphere.plumbing import PlumbingError, checked_square, oracle_square
 from negsphere.search import (
     BlowupPlan,
     NoSolutionError,
@@ -332,3 +333,23 @@ def test_plan_rejects_negative_counts_and_indices(kwargs):
 def test_replay_rejects_resolution_index_past_last_fiber():
     with pytest.raises(ValidationError, match="index 9 out of range"):
         replay_plan(reference_decomposition(2), BlowupPlan({9: "resolve"}))
+
+
+def test_equal_plans_hash_equal_and_work_as_set_members():
+    a = BlowupPlan({7: "replace", 2: "resolve"}, edge_blowups=2)
+    b = BlowupPlan({2: "resolve", 7: "replace"}, edge_blowups=2)
+    assert a == b and hash(a) == hash(b)
+    plans = {a, b, BlowupPlan({7: "replace", 2: "resolve"}, point_blowups=2), BlowupPlan()}
+    assert len(plans) == 3
+    assert b in plans and BlowupPlan({}) in plans
+    assert BlowupPlan({1: "skip"}) not in plans
+
+
+def test_search_result_stays_unhashable_and_graph_is_not_compared():
+    result = best_sphere(6, 3)
+    assert checked_square(result.graph) == result.best_square
+    assert result.graph.trace == result.trace
+    with pytest.raises(TypeError):
+        hash(result)
+    assert dataclasses.replace(result, graph=None) == result
+    assert "graph" not in result.to_json_dict()

@@ -132,3 +132,37 @@ def test_overflow_rejected_on_compose():
 def test_serialization_round_trip():
     g = word_to_matrix("abab")
     assert GroupElement.from_lists(g.to_lists()) == g
+
+
+def test_word_to_matrix_matches_a_compose_fold():
+    rng = random.Random(20261018)
+    for _ in range(500):
+        word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 120)))
+        folded = IDENTITY
+        for ch in word:
+            folded = compose(folded, generator(ch))
+        assert word_to_matrix(word) == folded
+
+
+def _positive_inverse(word):
+    # (ab)^6 = 1, so a^-1 = b(ab)^5 and b^-1 = (ab)^5 a
+    inverse = {"a": "b" + "ab" * 5, "b": "ab" * 5 + "a"}
+    return "".join(inverse[ch] for ch in reversed(word))
+
+
+def test_overflow_raised_partway_through_a_word_that_multiplies_to_one():
+    # a^5 b has trace -3, so its powers grow; the word times its positive
+    # inverse is the identity, but the entries pass 2^63 on the way
+    half = "aaaaab" * 50
+    word = half + _positive_inverse(half)
+    product, first = [[1, 0], [0, 1]], None
+    for t, ch in enumerate(word, start=1):
+        product = mat_mul(product, mat_word(ch))
+        if first is None and any(not sl2z.INT64_MIN <= x <= sl2z.INT64_MAX
+                                 for row in product for x in row):
+            first = t
+    assert product == [[1, 0], [0, 1]] and first is not None and first < len(half)
+    word_to_matrix(word[:first - 1])  # the step before is still inside 64 bits
+    for prefix in (word[:first], word):
+        with pytest.raises(OverflowError, match="64-bit"):
+            word_to_matrix(prefix)
