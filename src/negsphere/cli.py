@@ -27,6 +27,7 @@ from .search import (
     check_desk_scale,
     conjecture_check,
     replay_plan,
+    with_provenance,
 )
 from .verify import run_battery
 
@@ -157,6 +158,7 @@ def _cmd_build(args) -> int:
         )
     graph = replay_plan(spec, plan)  # build_tree validates the spec
     square = checked_square(graph)
+    spec, provenance = with_provenance(spec, plan)  # the file's claim is not trusted
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:
@@ -164,6 +166,7 @@ def _cmd_build(args) -> int:
             {
                 "spec": spec.to_json_dict(),
                 "plan": plan.to_json_dict(),
+                "provenance": provenance,
                 "vertices": graph.vertex_count,
                 "edges": graph.edge_count,
                 "blowups_used": spent,
@@ -173,7 +176,7 @@ def _cmd_build(args) -> int:
             }
         )
         return EXIT_OK
-    print(f"spec: E({spec.n}) with {_spec_summary(spec)}  [{spec.provenance}]")
+    print(f"spec: E({spec.n}) with {_spec_summary(spec)}  [{provenance}]")
     print(f"tree: {graph.vertex_count} vertices, {graph.edge_count} edges, "
           f"{spent} blow-ups used")
     print(f"smoothed self-intersection: {square}  (the quadratic-form oracle agrees)")

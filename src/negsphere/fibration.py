@@ -144,50 +144,35 @@ def fiber_option(spec: FibrationSpec, i: int, choice: str | None = None) -> Fibe
         raise ValidationError(f"fiber {i} ({name}) {exc}") from None
 
 
-def build_tree(
-    spec: FibrationSpec,
-    use=None,
-    resolutions=None,
-    attach_override=None,
-) -> tuple[PlumbingGraph, int]:
+def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, int]:
     """Assemble the plumbing tree of a fibration and count blow-ups spent.
 
-    ``use`` selects fiber indices to attach (default: all).  ``resolutions``
-    maps fiber index -> a choice from the fiber type's catalog options:
-    "use" (attach as is), "resolve" (blow up the singular point until
-    normal crossing), "replace" (swap in the (-9)-sphere of the
+    ``resolutions`` maps fiber index -> a choice from the fiber type's
+    catalog options: "use" (attach as is), "resolve" (blow up the singular
+    point until normal crossing), "replace" (swap in the (-9)-sphere of the
     cuspidal-cubic gluing) or "skip" (leave the fiber out of the tree).
     A fiber without an entry takes its type's default; II_cusp/III/IV have
-    none and need an entry.  I1_nodal is skipped by default and cannot be
-    listed in ``use``.  ``attach_override`` maps fiber index -> fragment
-    vertex, overriding the catalog attachment (the smoothed value is
-    independent of this choice).
+    none and need an entry, and I1_nodal is always skipped.  The section
+    meets each fragment at its catalog attachment vertex (the smoothed
+    value is independent of this choice).
 
     Returns the tree and the number of blow-ups consumed by resolutions
     and replacements.
     """
     validate(spec)
     resolutions = dict(resolutions or {})
-    attach_override = dict(attach_override or {})
     for i, choice in resolutions.items():
         fiber_option(spec, i, choice)
-    indices = list(range(len(spec.fibers))) if use is None else sorted(set(use))
 
     graph = PlumbingGraph()
     graph.add_vertex(-spec.n, label="section")
     graph.trace.append({"op": "section", "n": spec.n, "vertex": 0})
     blowups = 0
 
-    for i in indices:
-        choice = resolutions.get(i)
-        option = fiber_option(spec, i, choice)
-        name = spec.fibers[i]
+    for i, name in enumerate(spec.fibers):
+        option = fiber_option(spec, i, resolutions.get(i))
         fragment = option.fragment
         if fragment is None:
-            if choice is None and use is not None:
-                raise ValidationError(
-                    f"fiber {i} ({name}) is not embedded and cannot be attached"
-                )
             continue
 
         offset = graph.vertex_count
@@ -195,12 +180,7 @@ def build_tree(
             graph.add_vertex(w, label=f"{name}[{i}].{lab}")
         for u, v in fragment.edges:
             graph.add_edge(offset + u, offset + v)
-        attach_local = attach_override.get(i, fragment.attachment)
-        if not 0 <= attach_local < fragment.vertex_count:
-            raise ValidationError(
-                f"fiber {i}: attachment vertex {attach_local} out of range"
-            )
-        graph.add_edge(0, offset + attach_local)
+        graph.add_edge(0, offset + fragment.attachment)
         graph.trace.append(
             {
                 "op": "attach_fiber",
@@ -208,7 +188,7 @@ def build_tree(
                 "name": name,
                 "choice": "fragment" if option.choice == "use" else option.choice,
                 "vertices": [offset, graph.vertex_count - 1],
-                "attached_at": offset + attach_local,
+                "attached_at": offset + fragment.attachment,
                 "blowups": option.blowups,
             }
         )

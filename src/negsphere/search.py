@@ -9,8 +9,10 @@ blow-up budget is spent exactly.
 The optimizer works on each option's adjusted gain (see
 ``fibers.FiberOption``): its smoothed contribution plus 5 per blow-up it
 consumes, i.e. how much it beats spending the same blow-ups on edges.
-The branch bound charges the best per-letter adjusted rate (-18/5, an E8t
-fiber) to all unassigned monodromy letters and -5 to every blow-up; it
+The branch-and-bound walks fiber-count vectors in the order
+``enumerate_specs`` yields them, which is also the tie-break order.  Its
+bound charges every unplaced Euler unit the best per-unit adjusted rate
+among the types still to be placed (-18/5 while E8t is among them); it
 only prunes, never decides.
 Every winner is replayed through the tree builder and rewrites and
 cross-checked against the quadratic-form oracle before being reported.
@@ -18,6 +20,7 @@ cross-checked against the quadratic-form oracle before being reported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -175,18 +178,31 @@ def _resolve_allowed(allowed, extended: bool) -> tuple[str, ...]:
 # -- spec enumeration ---------------------------------------------------------
 
 
-def _iter_counts(eulers: tuple[int, ...], total: int):
+def _iter_counts(eulers: tuple[int, ...], total: int, prune=None):
     """All count vectors with sum(count * euler) == total, lexicographically
-    by the expanded canonical fiber sequence (descending leading counts)."""
+    by the expanded canonical fiber sequence (descending leading counts).
+
+    ``prune(pos, remaining, counts)``, when given, is asked at every node
+    (counts[:pos] placed, ``remaining`` Euler sum left) and a leaf
+    (pos == len(eulers)); a true answer skips the node's subtree.
+    """
     m = len(eulers)
     counts = [0] * m
 
     def walk(pos: int, remaining: int):
+        if prune is not None and prune(pos, remaining, counts):
+            return
         if pos == m:
-            if remaining == 0:
-                yield tuple(counts)
+            yield tuple(counts)
             return
         e = eulers[pos]
+        if pos == m - 1:
+            # the last type takes what is left, when its Euler number divides it
+            if remaining % e == 0:
+                counts[pos] = remaining // e
+                yield from walk(m, 0)
+                counts[pos] = 0
+            return
         for c in range(remaining // e, -1, -1):
             counts[pos] = c
             yield from walk(pos + 1, remaining - c * e)
@@ -202,11 +218,12 @@ def _expand(names: tuple[str, ...], counts: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _needs_word_check(names, counts) -> bool:
-    return any(c > 0 and nm not in AB_POWER_FIBERS for nm, c in zip(names, counts))
-
-
-def _word_is_trivial(names, counts) -> bool:
+def _monodromy_is_trivial(names, counts) -> bool:
+    """Whether the canonical-order product of the fibers' words is the
+    identity.  (ab)-power multisets need no product: their Euler sum is 12n,
+    so it is (ab)^{6n} = 1."""
+    if all(c == 0 or nm in AB_POWER_FIBERS for nm, c in zip(names, counts)):
+        return True
     word = "".join(fiber(nm).word * c for nm, c in zip(names, counts))
     return sl2z.is_identity(sl2z.word_to_matrix(word))
 
@@ -264,6 +281,22 @@ def _documented_choices(n: int, names_sorted: tuple[str, ...]) -> set | None:
             for i, name in enumerate(names_sorted)}
 
 
+def with_provenance(spec: FibrationSpec, plan: BlowupPlan) -> tuple[FibrationSpec, str]:
+    """``spec`` carrying the provenance of its fiber multiset, and the
+    provenance of the (spec, plan) pair.  The multiset is ``paper_verified``
+    when the source builds on it; the pair is when, in addition, every fiber
+    takes a choice the source makes on that multiset.  Fibers may be listed
+    in any order; the provenance ``spec`` claims is not read."""
+    documented = _documented_choices(spec.n, spec.canonical().fibers)
+    on_pattern = documented is not None and all(
+        (name, fiber_option(spec, i, plan.resolutions.get(i)).choice) in documented
+        for i, name in enumerate(spec.fibers)
+    )
+    spec = FibrationSpec(spec.n, spec.fibers,
+                         ASSUMED_REALIZABLE if documented is None else PAPER_VERIFIED)
+    return spec, PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
+
+
 def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
     """Yield every valid fibration spec over the allowed fiber types.
 
@@ -278,7 +311,7 @@ def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
     names = _resolve_allowed(allowed, extended)
     eulers = tuple(fiber(nm).euler for nm in names)
     for counts in _iter_counts(eulers, 12 * n):
-        if _needs_word_check(names, counts) and not _word_is_trivial(names, counts):
+        if not _monodromy_is_trivial(names, counts):
             continue
         fibers = _expand(names, counts)
         provenance = ASSUMED_REALIZABLE if _documented_choices(n, fibers) is None else PAPER_VERIFIED
@@ -297,10 +330,9 @@ def _best_plan_for_counts(n, k, names, counts):
     option goes straight to its bound when it beats its type's free option
     and attaches a fragment: then every extra fiber on it lowers the value.
 
-    Returns (value, plan_key, plan) with plan = (option counts per type,
-    edge_blowups, point_blowups).  plan_key orders the plans of one
-    multiset like their per-fiber option indices (more fibers on earlier
-    options first), then by the blow-up split.
+    Returns (value, plan) with plan = (option counts per type,
+    edge_blowups, point_blowups).  Ties go to the plan whose per-fiber
+    option indices come first (more fibers on earlier options).
     """
     value = -n - 5 * k
     attached = False
@@ -324,9 +356,10 @@ def _best_plan_for_counts(n, k, names, counts):
         if d == len(costly):
             # bare section: no edge exists until one point blow-up
             point = 1 if budget and not attached else 0
-            key = (value + point, tuple(-c for row in rows for c in row), budget - point, point)
+            # the rows fix the blow-up split, so they settle every tie
+            key = (value + point, tuple(-c for row in rows for c in row))
             if not best or key < best[0]:
-                best[:] = [key, tuple(map(tuple, rows))]
+                best[:] = [key, (tuple(map(tuple, rows)), budget - point, point)]
             return
         row, i, f, option, delta = costly[d]
         top = min(row[f], budget // option.blowups)
@@ -338,8 +371,8 @@ def _best_plan_for_counts(n, k, names, counts):
             row[i], row[f] = 0, row[f] + c
 
     walk(0, k, value, attached)
-    (value, ranks, edge, point), rows = best
-    return value, (ranks, edge, point), (rows, edge, point)
+    (value, _ranks), plan = best
+    return value, plan
 
 
 def _plan_from_counts(names, plan) -> BlowupPlan:
@@ -359,49 +392,35 @@ def _plan_from_counts(names, plan) -> BlowupPlan:
 
 
 def _dfs_best(n, k, names):
-    """Best (key, counts, plan) over all specs, or None.
+    """Best (value, counts, plan) over all specs, or None.
 
-    key = (value, expanded-spec index tuple, plan key); smaller wins.
+    The walk's order is the tie-break order, so only a strictly smaller
+    value replaces the best.  A node's bound: the placed counts at their
+    types' best adjusted gains, plus each unplaced Euler unit at the best
+    rate among the types at or after ``pos`` (only those can fill it),
+    scaled by the lcm of the Euler numbers to stay integral.
     """
     eulers = tuple(fiber(nm).euler for nm in names)
-    best_adj = tuple(_BEST_ADJ[nm] for nm in names)
-    rate = min(Fraction(best_adj[i], eulers[i]) for i in range(len(names)))
-    rate_num, rate_den = rate.numerator, rate.denominator
-    base = -n - 5 * k
-    total = 12 * n
+    adj = tuple(_BEST_ADJ[nm] for nm in names)
+    scale = math.lcm(*eulers)
     m = len(names)
-    best: list = [None]
-    counts = [0] * m
+    rates = [0] * (m + 1)  # every best adjusted gain is <= 0 (skip gives 0)
+    for pos in reversed(range(m)):
+        rates[pos] = min(rates[pos + 1], adj[pos] * (scale // eulers[pos]))
+    partial = [(-n - 5 * k) * scale] + [0] * m  # scaled bound of counts[:pos]
+    best = None
 
-    def leaf():
-        tcounts = tuple(counts)
-        if _needs_word_check(names, tcounts) and not _word_is_trivial(names, tcounts):
-            return
-        value, plan_key, plan = _best_plan_for_counts(n, k, names, tcounts)
-        spec_key = tuple(
-            idx for idx, c in enumerate(tcounts) for _ in range(c)
-        )
-        key = (value, spec_key, plan_key)
-        if best[0] is None or key < best[0][0]:
-            best[0] = (key, tcounts, plan)
+    def prune(pos, remaining, counts):
+        if pos:
+            partial[pos] = partial[pos - 1] + counts[pos - 1] * adj[pos - 1] * scale
+        return best is not None and partial[pos] + rates[pos] * remaining >= best[0] * scale
 
-    def walk(pos: int, remaining: int, partial_opt: int):
-        if best[0] is not None:
-            bound = (base + partial_opt) * rate_den + rate_num * remaining
-            if bound >= best[0][0][0] * rate_den:
-                return
-        if pos == m:
-            if remaining == 0:
-                leaf()
-            return
-        e = eulers[pos]
-        for c in range(remaining // e, -1, -1):
-            counts[pos] = c
-            walk(pos + 1, remaining - c * e, partial_opt + c * best_adj[pos])
-        counts[pos] = 0
-
-    walk(0, total, 0)
-    return best[0]
+    for counts in _iter_counts(eulers, 12 * n, prune):
+        if _monodromy_is_trivial(names, counts):
+            value, plan = _best_plan_for_counts(n, k, names, counts)
+            if best is None or value < best[0]:
+                best = (value, counts, plan)
+    return best
 
 
 def check_desk_scale(n: int, k: int, max_n: int = MAX_N, max_k: int = MAX_K) -> None:
@@ -455,7 +474,8 @@ def best_sphere(
 
     Minimizes over every valid fiber multiset, usage subset, resolution
     choice and exact spending of the blow-up budget.  Ties break to the
-    lexicographically smallest canonical spec, then plan, so results are
+    first spec ``enumerate_specs`` would yield (the lexicographically
+    smallest canonical spec), then to its first plan, so results are
     reproducible bit for bit.  The winner is replayed through the builder
     and rewrites and checked against the quadratic-form oracle before
     being returned.
@@ -471,23 +491,15 @@ def best_sphere(
         raise NoSolutionError(
             f"no valid fibration decomposition for n={n} over fibers {list(names)}"
         )
-    (value, _spec_key, _plan_key), counts, plan_counts = found
+    value, counts, plan_counts = found
 
-    fibers = _expand(names, counts)
-    documented = _documented_choices(n, fibers)
-    spec_prov = ASSUMED_REALIZABLE if documented is None else PAPER_VERIFIED
-    spec = FibrationSpec(n=n, fibers=fibers, provenance=spec_prov)
     plan = _plan_from_counts(names, plan_counts)
-
+    spec, provenance = with_provenance(FibrationSpec(n=n, fibers=_expand(names, counts)), plan)
     graph = replay_plan(spec, plan, k=k)
     square = checked_square(graph)
     if square != value:
         raise AssertionError(f"replay mismatch: model {value}, checked square {square}")
 
-    on_pattern = documented is not None and all(
-        (name, plan.resolutions.get(i, "use")) in documented for i, name in enumerate(fibers)
-    )
-    provenance = PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
     return SearchResult(
         n=n,
         k=k,

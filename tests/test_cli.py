@@ -85,6 +85,65 @@ def test_build_replays_example(tmp_path, capsys):
     assert "-279" in out
 
 
+def build_files(tmp_path, spec, plan):
+    spec_file, plan_file = tmp_path / "spec.json", tmp_path / "plan.json"
+    spec_file.write_text(json.dumps(spec))
+    plan_file.write_text(json.dumps(plan))
+    return str(spec_file), "--plan", str(plan_file)
+
+
+K3_IV = {"n": 2, "fibers": ["E8t", "E8t", "IV"]}
+E3_OFF_TABLE = ["II_cusp", "E6t", "IV", "E8t", "II_cusp", "E6t", "II_cusp"]
+
+
+@pytest.mark.parametrize("spec, plan, derived", [
+    # the source builds nothing on E8t + 2 x E6t + IV + 3 x II_cusp
+    ({"n": 3, "fibers": E3_OFF_TABLE, "provenance": "paper_verified"},
+     {"resolutions": {"0": "skip", "2": "resolve", "4": "skip", "6": "skip"}},
+     "assumed_realizable"),
+    # the E(2) type-IV worked example, fibers listed out of canonical order
+    ({"n": 2, "fibers": ["IV", "E8t", "E8t"], "provenance": "assumed_realizable"},
+     {"resolutions": {"0": "resolve"}}, "paper_verified"),
+])
+def test_build_derives_provenance_ignoring_the_file(tmp_path, capsys, spec, plan, derived):
+    argv = build_files(tmp_path, spec, plan)
+    code, out, _ = run(capsys, "build", *argv)
+    assert code == 0
+    assert f"[{derived}]" in out and spec["provenance"] not in out
+    code, out, _ = run(capsys, "build", *argv, "--json")
+    payload = json.loads(out)
+    assert payload["spec"]["provenance"] == payload["provenance"] == derived
+    assert payload["spec"]["fibers"] == spec["fibers"]
+
+
+def test_build_provenance_agrees_with_search_and_enumeration(capsys):
+    by_fibers = {s.fibers: s.provenance for s in search_module.enumerate_specs(3)}
+    e3 = FibrationSpec(3, tuple(E3_OFF_TABLE)).canonical().fibers
+    assert by_fibers[e3] == "assumed_realizable"
+    code, out, _ = run(capsys, "search", "2", "1", "--json")
+    found = json.loads(out)
+    assert found["spec"]["fibers"] == ["E8t", "E8t", "IV"]
+    assert found["provenance"] == found["spec"]["provenance"] == "paper_verified"
+
+
+def test_build_off_pattern_plan_keeps_the_multiset_provenance(tmp_path, capsys):
+    argv = build_files(tmp_path, K3_IV, {"resolutions": {"2": "skip"}})
+    code, out, _ = run(capsys, "build", *argv, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["spec"]["provenance"] == "paper_verified"
+    assert payload["provenance"] == "assumed_realizable"
+
+
+def test_build_writes_dot(tmp_path, capsys):
+    dot = tmp_path / "tree.dot"
+    argv = build_files(tmp_path, K3_IV, {"resolutions": {"2": "resolve"}})
+    code, out, _ = run(capsys, "build", *argv, "--dot", str(dot))
+    assert code == 0 and "-92" in out
+    text = dot.read_text()
+    assert text.startswith("graph") and text.count("--") == 22  # 23 vertices, a tree
+
+
 def test_build_json_graph(tmp_path, capsys):
     spec_file = tmp_path / "spec.json"
     spec_file.write_text(json.dumps({"n": 2, "fibers": ["E8t", "E6t", "I0star"]}))
@@ -192,9 +251,6 @@ def test_exit_codes_stable(capsys):
     assert first == second
 
 
-K3_IV = {"n": 2, "fibers": ["E8t", "E8t", "IV"]}
-
-
 @pytest.mark.parametrize("spec, plan, message", [
     (K3_IV, [], "plan must be a JSON object"),
     (K3_IV, {"resolutions": []}, "plan 'resolutions' must be a JSON object"),
@@ -205,6 +261,9 @@ K3_IV = {"n": 2, "fibers": ["E8t", "E8t", "IV"]}
     (K3_IV, {"resolutions": {"2": "resolve"}, "point_blowups": -1}, "point_blowups must be >= 0"),
     (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowups": 2.5}, "must be an integer"),
     (K3_IV, {"resolutions": {"2": "resolve", "9": "skip"}}, "index 9 out of range"),
+    ({"n": "six", "fibers": ["E8t"]}, None, "spec 'n' must be an integer"),
+    (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowups": [1]}, "must be an integer"),
+    (dict(K3_IV, provenance="verified"), None, "unknown provenance 'verified'"),
 ])
 def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
     spec_file = tmp_path / "spec.json"

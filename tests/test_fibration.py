@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negsphere import fibration
-from negsphere.fibers import FRAGMENT_FIBERS, fiber
+from negsphere.fibers import FRAGMENT_FIBERS, catalog
 from negsphere.fibration import (
     FibrationSpec,
     PAPER_VERIFIED,
@@ -162,8 +162,8 @@ def test_build_rejects_nodal_fiber_in_use():
     # a valid decomposition whose canonical-order word is the identity
     spec = spec_of(2, "E7t", "E6t", "I0star", "I1_nodal")
     validate(spec)
-    with pytest.raises(ValidationError, match="not embedded"):
-        build_tree(spec, use=[3], resolutions={})
+    with pytest.raises(ValidationError, match="does not take a resolution choice"):
+        build_tree(spec, resolutions={3: "use"})
 
 
 def test_build_skips_nodal_fiber_by_default():
@@ -182,19 +182,23 @@ def test_build_rejects_choice_on_fragment_fiber():
 
 def test_build_use_subset():
     spec = spec_of(2, "E8t", "E6t", "I0star")
-    graph, _ = build_tree(spec, use=[0])
+    graph, _ = build_tree(spec, resolutions={1: "skip", 2: "skip"})
     assert graph.vertex_count == 10  # section + E8t fragment
     assert graph.smooth() == -2 - 36
 
 
 def test_attachment_vertex_independence():
-    # reattaching the section anywhere in any fragment leaves smooth() fixed
-    spec = spec_of(2, "E8t", "E6t", "I0star")
-    baseline = build_tree(spec)[0].smooth()
-    for i, name in enumerate(spec.fibers):
-        for vertex in range(fiber(name).fragment.vertex_count):
-            graph, _ = build_tree(spec, attach_override={i: vertex})
-            assert graph.smooth() == baseline
+    # a section joined to any vertex of any catalog fragment smooths alike
+    for entry in catalog():
+        for option in entry.options:
+            frag = option.fragment
+            if frag is None:
+                continue
+            values = set()
+            for vertex in range(frag.vertex_count):
+                edges = [(u + 1, v + 1) for u, v in frag.edges] + [(0, vertex + 1)]
+                values.add(PlumbingGraph.from_weights((-2,) + frag.weights, edges).smooth())
+            assert values == {-2 + option.contribution}, (entry.name, option.choice)
 
 
 def test_validity_is_order_independent_for_ab_powers():

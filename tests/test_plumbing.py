@@ -390,3 +390,14 @@ def test_checked_square_traverses_each_graph_once(monkeypatch):
     pointed = out.blow_up_point_on_vertex(5)  # tree flag and coloring carried
     assert checked_square(pointed) == -34
     assert traversals == [4, 6]
+
+
+def test_add_edge_to_a_missing_vertex_is_rejected():
+    g = PlumbingGraph.from_weights([-2, -2])
+    with pytest.raises(PlumbingError, match=r"edge \(0, 2\) references a missing vertex"):
+        g.add_edge(0, 2)
+
+
+def test_from_weights_rejects_misaligned_labels():
+    with pytest.raises(PlumbingError, match="must align"):
+        PlumbingGraph.from_weights([-2, -2], [(0, 1)], labels=["only"])

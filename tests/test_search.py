@@ -163,69 +163,73 @@ def test_replay_soundness():
 # Unpruned brute force: enumerate usage counts, resolution splits and
 # blow-up splits per spec, build every graph, smooth it.  No bounds, no
 # dominance shortcuts; values come from the rewrite engine.
-def brute_force_best(n, k):
+def brute_force_best(n, k, extended=False):
+    values = [brute_force_spec_best(spec, k) for spec in enumerate_specs(n, extended=extended)]
+    return min((v for v in values if v is not None), default=None)
+
+
+def brute_force_spec_best(spec, k):
     best = None
-    for spec in enumerate_specs(n):
-        names = spec.fibers
-        per_type: dict[str, int] = {}
-        for nm in names:
-            per_type[nm] = per_type.get(nm, 0) + 1
-        type_options = []
-        type_names = sorted(per_type, key=lambda nm: names.index(nm))
-        for nm in type_names:
+    names = spec.fibers
+    per_type: dict[str, int] = {}
+    for nm in names:
+        per_type[nm] = per_type.get(nm, 0) + 1
+    type_options = []
+    type_names = sorted(per_type, key=lambda nm: names.index(nm))
+    for nm in type_names:
+        c = per_type[nm]
+        if nm in FRAGMENT_FIBERS:
+            type_options.append([("use", u) for u in range(c + 1)])
+        elif nm in ("IV", "III"):
+            type_options.append([("resolve", u) for u in range(c + 1)])
+        elif nm == "II_cusp":
+            type_options.append(
+                [("cusp", (m, j)) for m in range(c + 1) for j in range(c - m + 1)]
+            )
+        else:
+            type_options.append([("skip", 0)])
+    for combo in itertools.product(*type_options):
+        resolutions = {}
+        index = 0
+        cost = 0
+        for nm, (kind, pick) in zip(type_names, combo):
             c = per_type[nm]
-            if nm in FRAGMENT_FIBERS:
-                type_options.append([("use", u) for u in range(c + 1)])
-            elif nm in ("IV", "III"):
-                type_options.append([("resolve", u) for u in range(c + 1)])
-            elif nm == "II_cusp":
-                type_options.append(
-                    [("cusp", (m, j)) for m in range(c + 1) for j in range(c - m + 1)]
-                )
-            else:
-                type_options.append([("skip", 0)])
-        for combo in itertools.product(*type_options):
-            resolutions = {}
-            index = 0
-            cost = 0
-            for nm, (kind, pick) in zip(type_names, combo):
-                c = per_type[nm]
-                if kind == "use":
-                    for slot in range(c):
-                        resolutions[index + slot] = "use" if slot < pick else "skip"
-                elif kind == "resolve":
-                    cost += pick * fiber(nm).resolution.blowups
-                    for slot in range(c):
-                        resolutions[index + slot] = "resolve" if slot < pick else "skip"
-                elif kind == "cusp":
-                    m, j = pick
-                    cost += 3 * m + j
-                    for slot in range(c):
-                        if slot < m:
-                            resolutions[index + slot] = "resolve"
-                        elif slot < m + j:
-                            resolutions[index + slot] = "replace"
-                        else:
-                            resolutions[index + slot] = "skip"
-                else:
-                    for slot in range(c):
+            if kind == "use":
+                for slot in range(c):
+                    resolutions[index + slot] = "use" if slot < pick else "skip"
+            elif kind == "resolve":
+                cost += pick * fiber(nm).resolution.blowups
+                for slot in range(c):
+                    resolutions[index + slot] = "resolve" if slot < pick else "skip"
+            elif kind == "cusp":
+                m, j = pick
+                cost += 3 * m + j
+                for slot in range(c):
+                    if slot < m:
+                        resolutions[index + slot] = "resolve"
+                    elif slot < m + j:
+                        resolutions[index + slot] = "replace"
+                    else:
                         resolutions[index + slot] = "skip"
-                index += c
-            if cost > k:
-                continue
-            leftover = k - cost
-            for point in range(leftover + 1):
-                plan = BlowupPlan(
-                    resolutions=dict(resolutions),
-                    edge_blowups=leftover - point,
-                    point_blowups=point,
-                )
-                try:
-                    value = replay_plan(spec, plan, k=k).smooth()
-                except PlumbingError:
-                    continue  # edge blow-up demanded on an edgeless graph
-                if best is None or value < best:
-                    best = value
+            else:
+                for slot in range(c):
+                    resolutions[index + slot] = "skip"
+            index += c
+        if cost > k:
+            continue
+        leftover = k - cost
+        for point in range(leftover + 1):
+            plan = BlowupPlan(
+                resolutions=dict(resolutions),
+                edge_blowups=leftover - point,
+                point_blowups=point,
+            )
+            try:
+                value = replay_plan(spec, plan, k=k).smooth()
+            except PlumbingError:
+                continue  # edge blow-up demanded on an edgeless graph
+            if best is None or value < best:
+                best = value
     return best
 
 
@@ -237,6 +241,41 @@ def test_pruned_search_matches_brute_force(k):
 @pytest.mark.parametrize("n, k", [(3, 0), (3, 1), (4, 0), (4, 1)])
 def test_pruned_search_matches_brute_force_up_to_n4(n, k):
     assert best_sphere(n, k).best_square == brute_force_best(n, k)
+
+
+# At (2, 0) the branch-and-bound drops six leaves for their monodromy word.
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (3, 0)])
+def test_pruned_extended_search_matches_brute_force(n, k):
+    assert best_sphere(n, k, extended=True).best_square == brute_force_best(n, k, extended=True)
+
+
+# Restricted searches tie often (IV + II_cusp on E(2) at k = 0: seven specs
+# reach -2), and with E7t, III and I1_nodal a multiset whose word is not
+# the identity would otherwise win.
+@pytest.mark.parametrize("allowed", [("IV", "II_cusp"), ("E8t", "E7t", "III", "I1_nodal")])
+def test_search_wins_with_the_first_enumerated_spec_of_least_square(allowed):
+    for n, k in ((2, 0), (2, 1), (3, 0)):
+        specs = list(enumerate_specs(n, allowed, extended=True))
+        values = [brute_force_spec_best(spec, k) for spec in specs]
+        least = min(v for v in values if v is not None)
+        result = best_sphere(n, k, allowed, extended=True)
+        assert (result.best_square, result.spec.fibers) == (least, specs[values.index(least)].fibers)
+
+
+@pytest.mark.parametrize("n, k, message", [
+    (1, 0, "n must be at least 2"),
+    (2, -1, "blow-up count must be >= 0"),
+])
+def test_best_sphere_rejects_bad_input(n, k, message):
+    with pytest.raises(ValidationError, match=message):
+        best_sphere(n, k)
+
+
+def test_replay_rejects_a_plan_spending_another_budget():
+    plan = BlowupPlan(edge_blowups=1)
+    assert replay_plan(reference_decomposition(2), plan, k=1).smooth() == -91
+    with pytest.raises(ValidationError, match="plan spends 1 blow-ups, budget is 2"):
+        replay_plan(reference_decomposition(2), plan, k=2)
 
 
 def test_conjecture_check():
