@@ -15,14 +15,7 @@ from .sl2z import (
     is_identity,
     word_to_matrix,
 )
-from .fibers import (
-    FiberType,
-    PlumbingFragment,
-    catalog,
-    cusp_replacement,
-    fiber,
-    resolve,
-)
+from .fibers import FiberType, PlumbingFragment, catalog, fiber
 from .plumbing import PlumbingError, PlumbingGraph, oracle_square
 from .fibration import (
     ASSUMED_REALIZABLE,
@@ -61,9 +54,7 @@ __all__ = [
     "FiberType",
     "PlumbingFragment",
     "catalog",
-    "cusp_replacement",
     "fiber",
-    "resolve",
     "PlumbingError",
     "PlumbingGraph",
     "oracle_square",

@@ -121,17 +121,6 @@ class FiberType:
         first = self.options[0]
         return None if first.blowups else first
 
-    @property
-    def fragment(self) -> PlumbingFragment | None:
-        """The fragment attached as is, if the fiber is normal crossing."""
-        use = self._find("use")
-        return use.fragment if use is not None else None
-
-    @property
-    def resolution(self) -> FiberOption | None:
-        """The blow-up resolution (``fragment``, ``blowups``), if any."""
-        return self._find("resolve")
-
     def _find(self, choice: str) -> FiberOption | None:
         return next((o for o in self.options if o.choice == choice), None)
 
@@ -210,6 +199,9 @@ def _resolved_iv() -> FiberOption:
 
 
 def _cusp_replacement() -> FiberOption:
+    # swap the cusp fiber for the complement of a cuspidal cubic: gluing the
+    # two cone-on-trefoil neighbourhoods with reversed orientation costs one
+    # blow-up and leaves a single (-9)-sphere meeting the section once
     fragment = PlumbingFragment(weights=(-9,), edges=(), attachment=0)
     return FiberOption("replace", fragment, blowups=1)
 
@@ -224,9 +216,6 @@ _CATALOG = (
     FiberType("II_cusp", "ab", 2, (_resolved_cusp(), _cusp_replacement(), _SKIP)),
     FiberType("I1_nodal", "a", 1, (_SKIP,)),
 )
-
-FRAGMENT_FIBERS = tuple(entry.name for entry in _CATALOG if entry.fragment is not None)
-RESOLVABLE_FIBERS = tuple(entry.name for entry in _CATALOG if entry.resolution is not None)
 
 #: Fiber names whose monodromy words are powers of (ab).  Powers of one
 #: element commute, so validity of a fibration built from them does not
@@ -261,37 +250,20 @@ def order_index(name: str) -> int:
     return _ORDER_INDEX[name]
 
 
-def resolve(fiber_type: FiberType | str) -> tuple[PlumbingFragment, int]:
-    """Resolved fragment and blow-up count for a II_cusp, III or IV fiber."""
-    entry = fiber(fiber_type) if isinstance(fiber_type, str) else fiber_type
-    if entry.resolution is None:
-        raise ValueError(f"{entry.name} is not a resolvable singular type")
-    return entry.resolution.fragment, entry.resolution.blowups
-
-
-def cusp_replacement() -> tuple[PlumbingFragment, int]:
-    """Swap a cusp fiber for the complement of a cuspidal cubic.
-
-    Gluing the two cone-on-trefoil neighbourhoods with reversed orientation
-    costs one blow-up and yields a single (-9)-sphere that still meets the
-    rest of the configuration in one transverse point.
-    """
-    option = fiber("II_cusp").option("replace")
-    return option.fragment, option.blowups
-
-
 def catalog_json() -> list[dict]:
     """Catalog as JSON-ready dictionaries (words as plain strings), each
-    type's options in tie-break order."""
+    type's options in tie-break order; the ``fragment`` and ``resolution``
+    keys repeat its ``use`` and ``resolve`` options, when it has them."""
     out = []
     for entry in _CATALOG:
         item: dict = {"name": entry.name, "word": entry.word, "euler": entry.euler}
-        if entry.fragment is not None:
-            item["fragment"] = entry.fragment.to_json_dict()
-        if entry.resolution is not None:
+        use, resolution = entry._find("use"), entry._find("resolve")
+        if use is not None:
+            item["fragment"] = use.fragment.to_json_dict()
+        if resolution is not None:
             item["resolution"] = {
-                "blowups": entry.resolution.blowups,
-                "fragment": entry.resolution.fragment.to_json_dict(),
+                "blowups": resolution.blowups,
+                "fragment": resolution.fragment.to_json_dict(),
             }
         item["options"] = [
             {"choice": o.choice, "blowups": o.blowups, "adjusted_gain": o.adjusted_gain,

@@ -10,6 +10,7 @@ fiber's fragment at its attachment vertex.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -78,13 +79,18 @@ def _json_object(data, what: str) -> dict:
 
 
 def _json_int(value, what: str) -> int:
-    """An integer read from JSON; booleans and fractional numbers are rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValidationError(f"{what} must be an integer, got {value!r}")
-    try:
+    """An integer read from a JSON number; strings, booleans and fractional
+    numbers are rejected."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
         return int(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _json_key_int(key, what: str) -> int:
+    """An integer read from a JSON object key: plain decimals, maybe negative."""
+    if isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key):
+        return int(key)
+    raise ValidationError(f"{what} must be an integer, got {key!r}")
 
 
 def validate(spec: FibrationSpec) -> None:

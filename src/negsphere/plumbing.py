@@ -117,15 +117,16 @@ class PlumbingGraph:
 
     def is_tree(self) -> bool:
         """Connected with one edge fewer than vertices: the two-coloring's
-        traversal reaches every vertex.  Derived at most once per graph."""
+        traversal reaches every vertex.  The traversal runs at most once per
+        graph; the O(1) count check runs every call, so a direct edit of the
+        lists that changes a count is never hidden by the cached flag."""
+        if len(self.edges) != len(self.weights) - 1:
+            return False
         if self._tree is None:
-            if len(self.edges) != len(self.weights) - 1:
+            try:
+                self.two_coloring()  # sets the flag
+            except PlumbingError:
                 self._tree = False
-            else:
-                try:
-                    self.two_coloring()  # sets the flag
-                except PlumbingError:
-                    self._tree = False
         return self._tree
 
     # -- rewrites ----------------------------------------------------------

@@ -33,6 +33,7 @@ from .fibration import (
     FibrationSpec,
     ValidationError,
     _json_int,
+    _json_key_int,
     _json_object,
     betti,
     build_tree,
@@ -111,7 +112,7 @@ class BlowupPlan:
         resolutions = _json_object(data.get("resolutions", {}), "plan 'resolutions'")
         return cls(
             resolutions={
-                _json_int(i, "plan resolution index"): str(c) for i, c in resolutions.items()
+                _json_key_int(i, "plan resolution index"): str(c) for i, c in resolutions.items()
             },
             edge_blowups=_json_int(data.get("edge_blowups", 0), "plan 'edge_blowups'"),
             point_blowups=_json_int(data.get("point_blowups", 0), "plan 'point_blowups'"),

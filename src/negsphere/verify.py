@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import sl2z
-from .fibers import catalog, cusp_replacement, resolve
+from .fibers import catalog, fiber
 from .fibration import (
     FibrationSpec,
     betti,
@@ -53,17 +53,18 @@ def _check_catalog():
     for entry in catalog():
         if entry.euler != len(entry.word):
             problems.append(f"{entry.name}: euler != word length")
-        if entry.fragment is not None:
-            if entry.fragment.euler_characteristic() != entry.euler:
-                problems.append(f"{entry.name}: fragment chi != euler")
-            if any(w != -2 for w in entry.fragment.weights):
-                problems.append(f"{entry.name}: fragment weight != -2")
-        if entry.resolution is not None:
-            chi = entry.resolution.fragment.euler_characteristic()
-            if chi != entry.euler + entry.resolution.blowups:
-                problems.append(f"{entry.name}: resolved chi != euler + blowups")
-    ok = not problems
-    return ok, "; ".join(problems) if problems else "8 entries, words/fragments consistent"
+        for option in entry.options:
+            if option.choice == "use":
+                if option.fragment.euler_characteristic() != entry.euler:
+                    problems.append(f"{entry.name}: fragment chi != euler")
+                if any(w != -2 for w in option.fragment.weights):
+                    problems.append(f"{entry.name}: fragment weight != -2")
+            elif option.choice == "resolve":
+                chi = option.fragment.euler_characteristic()
+                if chi != entry.euler + option.blowups:
+                    problems.append(f"{entry.name}: resolved chi != euler + blowups")
+    detail = "; ".join(problems) or f"{len(catalog())} entries, words/fragments consistent"
+    return not problems, detail
 
 
 def _check_resolutions():
@@ -75,7 +76,8 @@ def _check_resolutions():
     details = []
     ok = True
     for name, (blowups, weights) in expected.items():
-        fragment, used = resolve(name)
+        option = fiber(name).option("resolve")
+        fragment, used = option.fragment, option.blowups
         good = (
             used == blowups
             and sorted(fragment.weights) == sorted(weights)
@@ -87,9 +89,9 @@ def _check_resolutions():
 
 
 def _check_cusp_replacement():
-    fragment, used = cusp_replacement()
-    ok = fragment.weights == (-9,) and used == 1
-    return ok, f"single sphere {fragment.weights[0]}, {used} blow-up"
+    option = fiber("II_cusp").option("replace")
+    ok = option.fragment.weights == (-9,) and option.blowups == 1
+    return ok, f"single sphere {option.fragment.weights[0]}, {option.blowups} blow-up"
 
 
 def _check_s_table(square):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from negsphere import sl2z
-from negsphere.fibers import RESOLVABLE_FIBERS, catalog, fiber, resolve
+from negsphere.fibers import catalog, fiber
 from negsphere.fibration import (
     betti,
     build_tree,
@@ -209,14 +209,16 @@ def test_criterion_8_catalog_consistency():
     def consistency():
         for entry in catalog():
             assert entry.euler == len(entry.word)
-            if entry.fragment is not None:
-                assert entry.fragment.euler_characteristic() == entry.euler
+            for option in entry.options:
+                if option.choice == "use":
+                    assert option.fragment.euler_characteristic() == entry.euler
         for name, blowups, weights in (
             ("II_cusp", 3, [-6, -3, -2, -1]),
             ("III", 2, [-4, -4, -2, -1]),
             ("IV", 1, [-3, -3, -3, -1]),
         ):
-            fragment, used = resolve(name)
+            option = fiber(name).option("resolve")
+            fragment, used = option.fragment, option.blowups
             assert used == blowups
             assert sorted(fragment.weights) == weights
             assert fragment.edge_count == 3

@@ -264,6 +264,16 @@ def test_exit_codes_stable(capsys):
     ({"n": "six", "fibers": ["E8t"]}, None, "spec 'n' must be an integer"),
     (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowups": [1]}, "must be an integer"),
     (dict(K3_IV, provenance="verified"), None, "unknown provenance 'verified'"),
+    ({"n": "1_0", "fibers": ["E8t"] * 12}, None, "spec 'n' must be an integer, got '1_0'"),
+    (dict(K3_IV, n="2"), None, "spec 'n' must be an integer, got '2'"),
+    (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowups": " 2 "},
+     "plan 'edge_blowups' must be an integer, got ' 2 '"),
+    (K3_IV, {"resolutions": {"2": "resolve"}, "point_blowups": "1"},
+     "plan 'point_blowups' must be an integer, got '1'"),
+    (K3_IV, {"resolutions": {" 2 ": "resolve"}}, "plan resolution index must be an integer"),
+    (K3_IV, {"resolutions": {"+2": "resolve"}}, "plan resolution index must be an integer"),
+    (K3_IV, {"resolutions": {"2_0": "resolve"}}, "plan resolution index must be an integer"),
+    (K3_IV, {"resolutions": {"-1": "skip"}}, "resolution fiber index must be >= 0, got -1"),
 ])
 def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
     spec_file = tmp_path / "spec.json"

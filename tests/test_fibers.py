@@ -4,14 +4,10 @@ from negsphere import sl2z
 from negsphere.fibers import (
     AB_POWER_FIBERS,
     FIBER_ORDER,
-    FRAGMENT_FIBERS,
-    RESOLVABLE_FIBERS,
     PlumbingFragment,
     catalog,
     catalog_json,
-    cusp_replacement,
     fiber,
-    resolve,
 )
 from negsphere.search import DEFAULT_FIBERS, EXTENDED_ONLY_FIBERS
 
@@ -41,15 +37,17 @@ def test_words_and_euler_numbers():
 
 def test_fragment_and_resolution_presence():
     for entry in catalog():
-        assert (entry.fragment is not None) == (entry.name in FRAGMENT_FIBERS)
-        assert (entry.resolution is not None) == (entry.name in RESOLVABLE_FIBERS)
+        for option in entry.options:
+            assert entry.option(option.choice) is option
     nodal = fiber("I1_nodal")
-    assert nodal.fragment is None and nodal.resolution is None
+    for choice in ("use", "resolve"):
+        with pytest.raises(ValueError):
+            nodal.option(choice)
 
 
 @pytest.mark.parametrize("name,vertices", [("E8t", 9), ("E7t", 8), ("E6t", 7), ("I0star", 5)])
 def test_fragment_shapes(name, vertices):
-    fragment = fiber(name).fragment
+    fragment = fiber(name).option("use").fragment
     assert fragment.vertex_count == vertices
     assert fragment.edge_count == vertices - 1
     assert all(w == -2 for w in fragment.weights)
@@ -58,7 +56,7 @@ def test_fragment_shapes(name, vertices):
 
 
 def test_i0star_is_a_star():
-    fragment = fiber("I0star").fragment
+    fragment = fiber("I0star").option("use").fragment
     degrees = [0] * fragment.vertex_count
     for u, v in fragment.edges:
         degrees[u] += 1
@@ -67,14 +65,15 @@ def test_i0star_is_a_star():
 
 
 def test_attachment_is_a_leaf():
-    for name in FRAGMENT_FIBERS:
-        fragment = fiber(name).fragment
+    for option in (o for entry in catalog() for o in entry.options if o.choice == "use"):
+        fragment = option.fragment
         degree = sum(1 for e in fragment.edges if fragment.attachment in e)
         assert degree == 1
 
 
 def test_resolve_cusp():
-    fragment, blowups = resolve("II_cusp")
+    option = fiber("II_cusp").option("resolve")
+    fragment, blowups = option.fragment, option.blowups
     assert blowups == 3
     assert sorted(fragment.weights) == [-6, -3, -2, -1]
     assert fragment.edge_count == 3
@@ -91,7 +90,8 @@ def test_resolve_cusp():
 
 
 def test_resolve_iii():
-    fragment, blowups = resolve("III")
+    option = fiber("III").option("resolve")
+    fragment, blowups = option.fragment, option.blowups
     assert blowups == 2
     assert sorted(fragment.weights) == [-4, -4, -2, -1]
     center = fragment.weights.index(-1)
@@ -100,7 +100,8 @@ def test_resolve_iii():
 
 
 def test_resolve_iv():
-    fragment, blowups = resolve("IV")
+    option = fiber("IV").option("resolve")
+    fragment, blowups = option.fragment, option.blowups
     assert blowups == 1
     assert sorted(fragment.weights) == [-3, -3, -3, -1]
     center = fragment.weights.index(-1)
@@ -110,19 +111,21 @@ def test_resolve_iv():
 
 def test_resolved_euler_characteristics():
     # chi(resolved fragment) = euler(fiber) + blow-ups used
-    for name in RESOLVABLE_FIBERS:
-        fragment, blowups = resolve(name)
-        assert fragment.euler_characteristic() == fiber(name).euler + blowups
+    for entry in catalog():
+        for option in entry.options:
+            if option.choice == "resolve":
+                assert option.fragment.euler_characteristic() == entry.euler + option.blowups
 
 
 def test_resolve_rejects_other_types():
     for name in ("E8t", "E6t", "I0star", "I1_nodal"):
-        with pytest.raises(ValueError, match="not a resolvable singular type"):
-            resolve(name)
+        with pytest.raises(ValueError, match="does not take a resolution choice"):
+            fiber(name).option("resolve")
 
 
 def test_cusp_replacement():
-    fragment, blowups = cusp_replacement()
+    option = fiber("II_cusp").option("replace")
+    fragment, blowups = option.fragment, option.blowups
     assert fragment.weights == (-9,)
     assert fragment.edge_count == 0
     assert blowups == 1
@@ -159,8 +162,23 @@ def test_catalog_json():
     assert "fragment" not in by_name["I1_nodal"]
 
 
+def test_catalog_json_legacy_keys_repeat_the_use_and_resolve_options():
+    for entry, item in zip(catalog(), catalog_json()):
+        choices = {o.choice: o for o in entry.options}
+        assert ("fragment" in item) == ("use" in choices)
+        assert ("resolution" in item) == ("resolve" in choices)
+        if "use" in choices:
+            assert item["fragment"] == choices["use"].fragment.to_json_dict()
+        if "resolve" in choices:
+            option = choices["resolve"]
+            assert item["resolution"] == {
+                "blowups": option.blowups,
+                "fragment": option.fragment.to_json_dict(),
+            }
+
+
 def test_fragment_dot_output():
-    text = fiber("I0star").fragment.to_dot("d4")
+    text = fiber("I0star").option("use").fragment.to_dot("d4")
     assert text.startswith("graph d4 {")
     assert '[label="-2"]' in text
     assert "--" in text

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negsphere import fibration
-from negsphere.fibers import FRAGMENT_FIBERS, catalog
+from negsphere.fibers import catalog
 from negsphere.fibration import (
     FibrationSpec,
     PAPER_VERIFIED,

@@ -102,7 +102,7 @@ def test_smooth_k3_tree():
     # section (-2) joined to the E8t, E6t and I0star fragments: 22 vertices
     g = PlumbingGraph.from_weights([-2])
     for name in ("E8t", "E6t", "I0star"):
-        fragment = fiber(name).fragment
+        fragment = fiber(name).option("use").fragment
         offset = g.vertex_count
         for w in fragment.weights:
             g.add_vertex(w)
@@ -344,6 +344,17 @@ def test_add_vertex_after_smooth_makes_the_graph_disconnected():
     g.add_vertex(-3)
     with pytest.raises(PlumbingError, match="disconnected"):
         g.smooth()
+
+
+def test_an_edge_removed_behind_the_cache_is_seen_by_the_edge_count():
+    g = chain(-2, -2, -2)
+    assert checked_square(g) == -10
+    g.edges.pop()
+    assert not g.is_tree()
+    with pytest.raises(PlumbingError, match="disconnected"):
+        g.smooth()
+    with pytest.raises(PlumbingError, match="disconnected"):
+        checked_square(g)
 
 
 def test_duplicate_edge_rejected_after_a_blow_up_copy():

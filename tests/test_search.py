@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from negsphere import fibration
-from negsphere.fibers import FRAGMENT_FIBERS, RESOLVABLE_FIBERS, cusp_replacement, fiber
+from negsphere.fibers import fiber
 from negsphere.fibration import (
     ASSUMED_REALIZABLE,
     FibrationSpec,
@@ -178,7 +178,7 @@ def brute_force_spec_best(spec, k):
     type_names = sorted(per_type, key=lambda nm: names.index(nm))
     for nm in type_names:
         c = per_type[nm]
-        if nm in FRAGMENT_FIBERS:
+        if any(o.choice == "use" for o in fiber(nm).options):
             type_options.append([("use", u) for u in range(c + 1)])
         elif nm in ("IV", "III"):
             type_options.append([("resolve", u) for u in range(c + 1)])
@@ -198,7 +198,7 @@ def brute_force_spec_best(spec, k):
                 for slot in range(c):
                     resolutions[index + slot] = "use" if slot < pick else "skip"
             elif kind == "resolve":
-                cost += pick * fiber(nm).resolution.blowups
+                cost += pick * fiber(nm).option("resolve").blowups
                 for slot in range(c):
                     resolutions[index + slot] = "resolve" if slot < pick else "skip"
             elif kind == "cusp":
@@ -355,8 +355,8 @@ def test_enumerate_specs_validates_the_reference_once(monkeypatch):
 
 def test_plan_blowup_cost_reads_the_catalog():
     spec = FibrationSpec(n=6, fibers=("E8t",) * 7 + ("II_cusp",))
-    assert BlowupPlan({7: "replace"}).blowup_cost(spec) == cusp_replacement()[1]
-    assert BlowupPlan({7: "resolve"}).blowup_cost(spec) == fiber("II_cusp").resolution.blowups
+    assert BlowupPlan({7: "replace"}).blowup_cost(spec) == fiber("II_cusp").option("replace").blowups
+    assert BlowupPlan({7: "resolve"}).blowup_cost(spec) == fiber("II_cusp").option("resolve").blowups
     with pytest.raises(ValidationError, match="out of range"):
         BlowupPlan({8: "skip"}).blowup_cost(spec)
 
