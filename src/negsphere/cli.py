@@ -142,13 +142,25 @@ def _spec_summary(spec: FibrationSpec) -> str:
     return " + ".join(parts) if parts else "(no fibers)"
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are distinct; a repeated key would otherwise
+    silently keep its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValidationError(f"JSON key {key!r} is given twice")
+        data[key] = value
+    return data
+
+
+def _read_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle, object_pairs_hook=_unique_keys)
+
+
 def _cmd_build(args) -> int:
-    with open(args.specfile, "r", encoding="utf-8") as handle:
-        spec = FibrationSpec.from_json_dict(json.load(handle))
-    plan = BlowupPlan()
-    if args.plan:
-        with open(args.plan, "r", encoding="utf-8") as handle:
-            plan = BlowupPlan.from_json_dict(json.load(handle))
+    spec = FibrationSpec.from_json_dict(_read_json(args.specfile))
+    plan = BlowupPlan.from_json_dict(_read_json(args.plan)) if args.plan else BlowupPlan()
     spent = plan.total_blowups(spec)
     check_desk_scale(spec.n, spent, args.max_n, args.max_k)
     missing = [i for i, nm in enumerate(spec.fibers) if fiber(nm).default is None]

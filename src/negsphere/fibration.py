@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import sl2z
 from .fibers import FiberOption, fiber, order_index
-from .plumbing import PlumbingGraph, checked_square
+from .plumbing import PlumbingGraph, _is_json_int, checked_square
 
 PAPER_VERIFIED = "paper_verified"
 ASSUMED_REALIZABLE = "assumed_realizable"
@@ -79,9 +79,8 @@ def _json_object(data, what: str) -> dict:
 
 
 def _json_int(value, what: str) -> int:
-    """An integer read from a JSON number; strings, booleans and fractional
-    numbers are rejected."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
+    """An integer read from a JSON number, by the rule ``_is_json_int`` states."""
+    if _is_json_int(value):
         return int(value)
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 

@@ -1,10 +1,13 @@
 """Rewrite engine for trees of embedded spheres.
 
 A plumbing graph records spheres (vertices weighted by self-intersection)
-meeting transversely in single points (edges).  Blow-ups rewrite the
-graph; ``smooth`` computes the self-intersection of the single sphere
-obtained by orienting the components via a two-coloring (so every
-intersection is negative) and smoothing every crossing.
+meeting transversely in single points (edges); every vertex is a sphere.
+Both blow-ups are one step: blowing up a point lowers by one the square
+of each sphere through it (two at a crossing, one at a generic point) and
+adds a (-1)-sphere meeting each of them once.  ``smooth`` computes the
+self-intersection of the single sphere obtained by orienting the
+components via a two-coloring (so every intersection is negative) and
+smoothing every crossing.
 
 A graph changes only through ``add_vertex``/``add_edge`` and the
 rewrites, which return new graphs and never mutate their input.  Facts
@@ -12,9 +15,9 @@ derived from the edges (the edge set behind the duplicate check, whether
 the graph is a tree, its two-coloring) are computed at most once per
 graph: ``add_edge`` extends the edge set, ``add_vertex``/``add_edge``
 drop the other two, and rewrites carry forward what they preserve (a
-blow-up keeps a tree a tree).  Cycles and positive
-genus are rejected only when smoothing, not at construction time,
-leaving intermediate experiments unrestricted.
+blow-up keeps a tree a tree).  Cycles are rejected only when
+smoothing, not at construction time, leaving intermediate experiments
+unrestricted.
 """
 
 from __future__ import annotations
@@ -30,11 +33,15 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
+def _is_json_int(value) -> bool:
+    """An integer JSON number: an int or an integral float, never a bool or a string."""
+    return type(value) is int or (type(value) is float and value.is_integer())
+
+
 @dataclass(slots=True)
 class PlumbingGraph:
     weights: list[int] = field(default_factory=list)
     labels: list[str] = field(default_factory=list)
-    genera: list[int] = field(default_factory=list)
     exceptional: list[bool] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
@@ -48,31 +55,22 @@ class PlumbingGraph:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_weights(
-        cls,
-        weights,
-        edges=(),
-        labels=None,
-        genera=None,
-    ) -> "PlumbingGraph":
+    def from_weights(cls, weights, edges=(), labels=None) -> "PlumbingGraph":
         graph = cls()
         weights = list(weights)
         labels = list(labels) if labels is not None else [f"v{i}" for i in range(len(weights))]
-        genera = list(genera) if genera is not None else [0] * len(weights)
-        if not (len(labels) == len(weights) == len(genera)):
-            raise PlumbingError("weights, labels and genera must align")
-        for w, lab, g in zip(weights, labels, genera):
-            graph.add_vertex(int(w), lab, genus=int(g))
+        if len(labels) != len(weights):
+            raise PlumbingError("weights and labels must align")
+        for w, lab in zip(weights, labels):
+            graph.add_vertex(int(w), lab)
         for u, v in edges:
             graph.add_edge(u, v)
         return graph
 
-    def add_vertex(self, weight: int, label: str | None = None, genus: int = 0,
-                   exceptional: bool = False) -> int:
+    def add_vertex(self, weight: int, label: str | None = None, exceptional: bool = False) -> int:
         index = len(self.weights)
         self.weights.append(weight)
         self.labels.append(label if label is not None else f"v{index}")
-        self.genera.append(genus)
         self.exceptional.append(exceptional)
         self._tree = self._coloring = None
         return index
@@ -91,19 +89,6 @@ class PlumbingGraph:
         self._edge_set.add(key)
         self.edges.append(key)
         self._tree = self._coloring = None
-
-    def copy(self) -> "PlumbingGraph":
-        """An independent copy; it derives its facts afresh, unless the
-        rewrite that made it carries them."""
-        dup = PlumbingGraph(
-            weights=list(self.weights),
-            labels=list(self.labels),
-            genera=list(self.genera),
-            exceptional=list(self.exceptional),
-            edges=list(self.edges),
-            trace=list(self.trace),
-        )
-        return dup
 
     # -- basic queries -----------------------------------------------------
 
@@ -131,29 +116,38 @@ class PlumbingGraph:
 
     # -- rewrites ----------------------------------------------------------
 
+    def _blow_up(self, ends, edges, record: dict) -> "PlumbingGraph":
+        """Blow up a point on the spheres ``ends``: each square drops by 1 and
+        the new (-1)-sphere w meets each end once.  The output keeps ``edges``
+        and carries the tree flag, since the new sphere keeps a tree a tree."""
+        w = len(self.weights)
+        weights = self.weights + [-1]
+        for end in ends:
+            weights[end] -= 1
+        out = PlumbingGraph(
+            weights=weights,
+            labels=self.labels + [f"e{w}"],
+            exceptional=self.exceptional + [True],
+            edges=edges + [(end, w) for end in ends],
+            trace=self.trace + [dict(record, new_vertex=w)],
+        )
+        out._tree = self._tree
+        return out
+
     def blow_up_edge(self, edge: tuple[int, int]) -> "PlumbingGraph":
         """Blow up the intersection point the edge stands for.
 
         The two endpoint weights drop by 1 and the exceptional (-1)-sphere
         is inserted between them; smoothing afterwards loses exactly 5.
+        The coloring is not carried, since one side of the edge flips.
         """
         key = _edge_key(*edge)
-        out = self.copy()
+        edges = list(self.edges)
         try:
-            out.edges.remove(key)
+            edges.remove(key)
         except ValueError:
             raise PlumbingError(f"no edge {key} to blow up") from None
-        u, v = key
-        out.weights[u] -= 1
-        out.weights[v] -= 1
-        w = out.add_vertex(-1, label=f"e{len(out.weights)}", exceptional=True)
-        out.edges.append(_edge_key(u, w))
-        out.edges.append(_edge_key(v, w))
-        # subdividing an edge keeps a tree a tree; the coloring is not
-        # carried, since one side of the blown-up edge flips
-        out._tree = self._tree
-        out.trace.append({"op": "blow_up_edge", "edge": [u, v], "new_vertex": w})
-        return out
+        return self._blow_up(key, edges, {"op": "blow_up_edge", "edge": list(key)})
 
     def blow_up_point_on_vertex(self, vertex: int) -> "PlumbingGraph":
         """Blow up a generic point of one sphere.
@@ -164,15 +158,10 @@ class PlumbingGraph:
         """
         if not 0 <= vertex < len(self.weights):
             raise PlumbingError(f"no vertex {vertex} to blow up")
-        out = self.copy()
-        out.weights[vertex] -= 1
-        w = out.add_vertex(-1, label=f"e{len(out.weights)}", exceptional=True)
-        out.edges.append(_edge_key(vertex, w))
-        # a new leaf keeps a tree a tree and takes the color opposite its neighbour
-        out._tree = self._tree
+        out = self._blow_up((vertex,), self.edges, {"op": "blow_up_point", "vertex": vertex})
+        # the new leaf takes the color opposite its neighbour
         if self._coloring is not None:
             out._coloring = self._coloring + (-self._coloring[vertex],)
-        out.trace.append({"op": "blow_up_point", "vertex": vertex, "new_vertex": w})
         return out
 
     # -- smoothing ---------------------------------------------------------
@@ -216,18 +205,13 @@ class PlumbingGraph:
     def smooth(self) -> int:
         """Self-intersection of the sphere obtained by smoothing all crossings.
 
-        Valid only for a connected tree of genus-0 vertices; the result is
-        sum(weights) - 2 * edge_count, one -2 per smoothed negative crossing.
+        Valid only for a connected tree; the result is sum(weights) -
+        2 * edge_count, one -2 per smoothed negative crossing.
         Tree-ness is derived at most once per graph (see ``is_tree``).
         """
         n = len(self.weights)
         if n == 0:
             raise PlumbingError("cannot smooth an empty graph")
-        if any(self.genera):
-            i, g = next((i, g) for i, g in enumerate(self.genera) if g)
-            raise PlumbingError(
-                f"vertex {i} has genus {g}; smoothing to a sphere needs genus 0"
-            )
         if len(self.edges) >= n:
             raise PlumbingError("graph has a cycle; smoothing would not give a sphere")
         if not self.is_tree():
@@ -242,7 +226,7 @@ class PlumbingGraph:
                 {
                     "label": self.labels[i],
                     "weight": self.weights[i],
-                    "genus": self.genera[i],
+                    "genus": 0,
                     "exceptional": self.exceptional[i],
                 }
                 for i in range(len(self.weights))
@@ -253,15 +237,21 @@ class PlumbingGraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "PlumbingGraph":
+        """The graph ``to_json_dict`` wrote; other input raises PlumbingError."""
+        if not isinstance(data, dict):
+            raise PlumbingError(f"graph must be a JSON object, got {type(data).__name__}")
         graph = cls()
-        for item in data.get("vertices", []):
-            graph.add_vertex(
-                int(item["weight"]),
-                label=str(item.get("label", "")) or None,
-                genus=int(item.get("genus", 0)),
-                exceptional=bool(item.get("exceptional", False)),
-            )
+        for i, item in enumerate(data.get("vertices", [])):
+            if not isinstance(item, dict):
+                raise PlumbingError(f"vertex {i} must be a JSON object, got {type(item).__name__}")
+            w, g, flag = item.get("weight"), item.get("genus", 0), item.get("exceptional", False)
+            if not (_is_json_int(w) and _is_json_int(g) and g == 0 and type(flag) is bool):
+                raise PlumbingError(f"vertex {i} needs an integer weight, genus 0 (every vertex is "
+                                    f"a sphere) and a boolean 'exceptional', got {item!r}")
+            graph.add_vertex(int(w), str(item.get("label", "")) or None, flag)
         for u, v in data.get("edges", []):
+            if not (_is_json_int(u) and _is_json_int(v)):
+                raise PlumbingError(f"edge ends must be integers, got {[u, v]!r}")
             graph.add_edge(int(u), int(v))
         graph.trace = [dict(rec) for rec in data.get("trace", [])]
         return graph

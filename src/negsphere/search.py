@@ -109,11 +109,14 @@ class BlowupPlan:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlowupPlan":
         _json_object(data, "plan")
-        resolutions = _json_object(data.get("resolutions", {}), "plan 'resolutions'")
+        resolutions: dict[int, str] = {}
+        for key, choice in _json_object(data.get("resolutions", {}), "plan 'resolutions'").items():
+            i = _json_key_int(key, "plan resolution index")
+            if i in resolutions:
+                raise ValidationError(f"plan resolution index {i} is given twice (as {key!r})")
+            resolutions[i] = str(choice)
         return cls(
-            resolutions={
-                _json_key_int(i, "plan resolution index"): str(c) for i, c in resolutions.items()
-            },
+            resolutions=resolutions,
             edge_blowups=_json_int(data.get("edge_blowups", 0), "plan 'edge_blowups'"),
             point_blowups=_json_int(data.get("point_blowups", 0), "plan 'point_blowups'"),
         )

@@ -274,6 +274,8 @@ def test_exit_codes_stable(capsys):
     (K3_IV, {"resolutions": {"+2": "resolve"}}, "plan resolution index must be an integer"),
     (K3_IV, {"resolutions": {"2_0": "resolve"}}, "plan resolution index must be an integer"),
     (K3_IV, {"resolutions": {"-1": "skip"}}, "resolution fiber index must be >= 0, got -1"),
+    (K3_IV, {"resolutions": {"2": "resolve", "02": "skip"}},
+     "plan resolution index 2 is given twice (as '02')"),
 ])
 def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
     spec_file = tmp_path / "spec.json"
@@ -282,6 +284,29 @@ def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, pla
     if plan is not None:
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(plan))
+        argv += ["--plan", str(plan_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+    assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec_text, plan_text, message", [
+    ('{"n": 2, "n": 6, "fibers": ["E8t", "E8t", "IV"]}', None, "JSON key 'n' is given twice"),
+    ('{"n": 2, "fibers": ["E8t", "E8t", "IV"]}', '{"edge_blowups": 1, "edge_blowups": 2}',
+     "JSON key 'edge_blowups' is given twice"),
+    ('{"n": 2, "fibers": ["E8t", "E8t", "IV"]}', '{"resolutions": {"2": "resolve", "2": "skip"}}',
+     "JSON key '2' is given twice"),
+])
+def test_build_repeated_json_key_exits_2_with_one_line(tmp_path, capsys, spec_text, plan_text,
+                                                       message):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(spec_text)
+    argv = ["build", str(spec_file)]
+    if plan_text is not None:
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(plan_text)
         argv += ["--plan", str(plan_file)]
     code, out, err = run(capsys, *argv)
     assert code == 2

@@ -134,10 +134,9 @@ def test_smooth_rejects_an_odd_cycle_beside_an_unreached_vertex():
     assert not g.is_tree()
 
 
-def test_smooth_rejects_positive_genus():
-    g = PlumbingGraph.from_weights([-2], genera=[1])
+def test_reader_rejects_positive_genus():
     with pytest.raises(PlumbingError, match="genus"):
-        g.smooth()
+        PlumbingGraph.from_json_dict({"vertices": [{"weight": -2, "genus": 1}]})
 
 
 def test_smooth_rejects_empty():
@@ -201,6 +200,24 @@ def test_determinism_of_traces():
     assert a.to_json_dict() == b.to_json_dict()
 
 
+def test_two_rewrites_write_this_json():
+    g = chain(-2, -3, -4).blow_up_edge((0, 1)).blow_up_point_on_vertex(3)
+    assert g.to_json_dict() == {
+        "vertices": [
+            {"label": "v0", "weight": -3, "genus": 0, "exceptional": False},
+            {"label": "v1", "weight": -4, "genus": 0, "exceptional": False},
+            {"label": "v2", "weight": -4, "genus": 0, "exceptional": False},
+            {"label": "e3", "weight": -2, "genus": 0, "exceptional": True},
+            {"label": "e4", "weight": -1, "genus": 0, "exceptional": True},
+        ],
+        "edges": [[1, 2], [0, 3], [1, 3], [3, 4]],
+        "trace": [
+            {"op": "blow_up_edge", "edge": [0, 1], "new_vertex": 3},
+            {"op": "blow_up_point", "vertex": 3, "new_vertex": 4},
+        ],
+    }
+
+
 def test_json_round_trip():
     g = chain(-2, -3, -4).blow_up_edge((0, 1))
     data = json.loads(json.dumps(g.to_json_dict()))
@@ -209,6 +226,35 @@ def test_json_round_trip():
     assert back.edges == g.edges
     assert back.trace == g.trace
     assert back.exceptional == g.exceptional
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "graph must be a JSON object, got list"),
+    ({"vertices": ["v0"]}, "vertex 0 must be a JSON object, got str"),
+    ({"vertices": [{"label": "v0"}]}, "vertex 0 needs an integer weight"),
+    ({"vertices": [{"weight": -2.7}]}, "vertex 0 needs an integer weight"),
+    ({"vertices": [{"weight": "-3"}]}, "vertex 0 needs an integer weight"),
+    ({"vertices": [{"weight": True}]}, "vertex 0 needs an integer weight"),
+    ({"vertices": [{"weight": -2, "exceptional": "false"}]}, "boolean 'exceptional'"),
+    ({"vertices": [{"weight": -2, "exceptional": 1}]}, "boolean 'exceptional'"),
+    ({"vertices": [{"weight": -2, "genus": False}]}, "genus 0"),
+    ({"vertices": [{"weight": -2, "genus": -1}]}, "genus 0"),
+    ({"vertices": [{"weight": -2}, {"weight": -3}], "edges": [[0, 1.9]]},
+     "edge ends must be integers, got [0, 1.9]"),
+    ({"vertices": [{"weight": -2}, {"weight": -3}], "edges": [[False, 1]]},
+     "edge ends must be integers"),
+])
+def test_reader_rejects_what_to_json_dict_never_writes(data, message):
+    with pytest.raises(PlumbingError) as info:
+        PlumbingGraph.from_json_dict(data)
+    assert message in str(info.value) and "\n" not in str(info.value)
+
+
+def test_reader_takes_integral_floats():
+    data = {"vertices": [{"weight": -2.0, "genus": 0.0}, {"weight": -3}], "edges": [[0, 1.0]]}
+    g = PlumbingGraph.from_json_dict(data)
+    assert (g.weights, g.edges, g.exceptional) == ([-2, -3], [(0, 1)], [False, False])
+    assert all(type(x) is int for x in g.weights + list(g.edges[0]))
 
 
 def test_dot_marks_exceptional_vertices():
@@ -281,7 +327,7 @@ def _fresh(g):
 def _observe(g):
     """The facts of g, read on a copy that holds what g has derived so
     far, so that g itself derives nothing new."""
-    clone = g.copy()
+    clone = _fresh(g)
     clone._tree, clone._coloring = g._tree, g._coloring
     return _facts(clone)
 
@@ -297,7 +343,7 @@ def test_property_derived_facts_match_a_fresh_graph(ops):
     for op, x, y in ops:
         n = g.vertex_count
         if op == "vertex":
-            g.add_vertex(-(x % 9) - 1, genus=int(y % 11 == 0))
+            g.add_vertex(-(x % 9) - 1)
         elif op == "edge" and n:
             try:
                 g.add_edge(x % n, y % n)
@@ -315,6 +361,25 @@ def test_property_derived_facts_match_a_fresh_graph(ops):
             assert _facts(g) == _facts(_fresh(g))
         assert _observe(g) == _facts(_fresh(g))
     assert _facts(g) == _facts(_fresh(g))
+
+
+def _state(g):
+    return g.to_json_dict(), g._tree, g._coloring
+
+
+@settings(max_examples=200, deadline=None)
+@given(plumbing_trees(), st.integers(0, 10**6), st.sampled_from(("none", "is_tree", "coloring")))
+def test_property_rewrites_leave_their_input_alone(g, pick, derived):
+    if derived == "is_tree":
+        g.is_tree()
+    elif derived == "coloring":
+        g.two_coloring()
+    before = _state(g)
+    if g.edges:
+        g.blow_up_edge(g.edges[pick % len(g.edges)])
+        assert _state(g) == before
+    g.blow_up_point_on_vertex(pick % g.vertex_count)
+    assert _state(g) == before
 
 
 def test_closing_a_cycle_after_smooth_is_rejected():
