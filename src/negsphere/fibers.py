@@ -11,7 +11,7 @@ accounting only: a nodal sphere is not embedded, so it is always skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .plumbing import PlumbingGraph, dot_graph
 from .sl2z import normalize_word
@@ -30,6 +30,8 @@ class PlumbingFragment:
     edges: tuple[tuple[int, int], ...]
     attachment: int
     labels: tuple[str, ...] = ()
+    # the checked tree, kept for build_tree's PlumbingGraph.add_tree
+    _graph: PlumbingGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.weights)
@@ -37,8 +39,10 @@ class PlumbingFragment:
             object.__setattr__(self, "labels", tuple(f"v{i}" for i in range(n)))
         # raises PlumbingError (a ValueError) on misaligned labels, a
         # self-loop, an edge out of range or a duplicate edge
-        if not PlumbingGraph.from_weights(self.weights, self.edges, self.labels).is_tree():
+        graph = PlumbingGraph.from_weights(self.weights, self.edges, self.labels)
+        if not graph.is_tree():
             raise ValueError("fragment is not a connected tree")
+        object.__setattr__(self, "_graph", graph)
         if not 0 <= self.attachment < n:
             raise ValueError("attachment vertex out of range")
 

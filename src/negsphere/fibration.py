@@ -180,11 +180,7 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
         if fragment is None:
             continue
 
-        offset = graph.vertex_count
-        for w, lab in zip(fragment.weights, fragment.labels):
-            graph.add_vertex(w, label=f"{name}[{i}].{lab}")
-        for u, v in fragment.edges:
-            graph.add_edge(offset + u, offset + v)
+        offset = graph.add_tree(fragment._graph, [f"{name}[{i}].{lab}" for lab in fragment.labels])
         graph.add_edge(0, offset + fragment.attachment)
         graph.trace.append(
             {

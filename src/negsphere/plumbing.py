@@ -9,11 +9,11 @@ self-intersection of the single sphere obtained by orienting the
 components via a two-coloring (so every intersection is negative) and
 smoothing every crossing.
 
-A graph changes only through ``add_vertex``/``add_edge`` and the
-rewrites, which return new graphs and never mutate their input.  Facts
-derived from the edges (the edge set behind the duplicate check, whether
-the graph is a tree, its two-coloring) are computed at most once per
-graph: ``add_edge`` extends the edge set, ``add_vertex``/``add_edge``
+A graph changes only through ``add_vertex``/``add_edge``/``add_tree``
+and the rewrites, which return new graphs and never mutate their input.
+Facts derived from the edges (the edge set behind the duplicate check,
+whether the graph is a tree, its two-coloring) are computed at most once
+per graph: ``add_edge``/``add_tree`` extend the edge set, all three
 drop the other two, and rewrites carry forward what they preserve (a
 blow-up keeps a tree a tree).  Cycles are rejected only when
 smoothing, not at construction time, leaving intermediate experiments
@@ -38,6 +38,14 @@ def _is_json_int(value) -> bool:
     return type(value) is int or (type(value) is float and value.is_integer())
 
 
+def _json_list(data: dict, key: str) -> list:
+    """The list a graph's JSON object holds under ``key`` (none: empty)."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise PlumbingError(f"graph {key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(slots=True)
 class PlumbingGraph:
     weights: list[int] = field(default_factory=list)
@@ -45,8 +53,8 @@ class PlumbingGraph:
     exceptional: list[bool] = field(default_factory=list)
     edges: list[tuple[int, int]] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
-    # derived from the edges on first use; add_edge extends the edge set, and
-    # add_vertex/add_edge drop the tree flag and the coloring
+    # derived from the edges on first use; add_edge/add_tree extend the edge
+    # set, and add_vertex/add_edge/add_tree drop the tree flag and the coloring
     _edge_set: set | None = field(default=None, init=False, repr=False, compare=False)
     _tree: bool | None = field(default=None, init=False, repr=False, compare=False)
     _coloring: tuple[int, ...] | None = field(
@@ -90,6 +98,29 @@ class PlumbingGraph:
         self.edges.append(key)
         self._tree = self._coloring = None
 
+    def add_tree(self, tree: "PlumbingGraph", labels) -> int:
+        """Append a copy of ``tree`` as a block and return the index its
+        first vertex takes: weights, exceptional flags and edges (shifted by
+        that offset) come from ``tree``, labels from ``labels``, and the
+        trace is left alone.  The edges are not checked one by one, since a
+        tree's edges are in range, loop-free and distinct, and an offset
+        keeps them so."""
+        labels = list(labels)
+        if len(labels) != len(tree.weights):
+            raise PlumbingError(f"{len(labels)} labels for a tree of {len(tree.weights)} vertices")
+        if not tree.is_tree():
+            raise PlumbingError("add_tree takes a connected tree")
+        offset = len(self.weights)
+        edges = [(u + offset, v + offset) for u, v in tree.edges]
+        self.weights += tree.weights
+        self.labels += labels
+        self.exceptional += tree.exceptional
+        self.edges += edges
+        if self._edge_set is not None:
+            self._edge_set.update(edges)
+        self._tree = self._coloring = None
+        return offset
+
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -118,17 +149,19 @@ class PlumbingGraph:
 
     def _blow_up(self, ends, edges, record: dict) -> "PlumbingGraph":
         """Blow up a point on the spheres ``ends``: each square drops by 1 and
-        the new (-1)-sphere w meets each end once.  The output keeps ``edges``
+        the new (-1)-sphere w meets each end once.  ``edges`` is a new list,
+        the edges the output keeps; the output takes it, appends w's edges
         and carries the tree flag, since the new sphere keeps a tree a tree."""
         w = len(self.weights)
         weights = self.weights + [-1]
         for end in ends:
             weights[end] -= 1
+        edges += [(end, w) for end in ends]
         out = PlumbingGraph(
             weights=weights,
             labels=self.labels + [f"e{w}"],
             exceptional=self.exceptional + [True],
-            edges=edges + [(end, w) for end in ends],
+            edges=edges,
             trace=self.trace + [dict(record, new_vertex=w)],
         )
         out._tree = self._tree
@@ -142,11 +175,12 @@ class PlumbingGraph:
         The coloring is not carried, since one side of the edge flips.
         """
         key = _edge_key(*edge)
-        edges = list(self.edges)
         try:
-            edges.remove(key)
+            i = self.edges.index(key)
         except ValueError:
             raise PlumbingError(f"no edge {key} to blow up") from None
+        edges = self.edges.copy()
+        del edges[i]
         return self._blow_up(key, edges, {"op": "blow_up_edge", "edge": list(key)})
 
     def blow_up_point_on_vertex(self, vertex: int) -> "PlumbingGraph":
@@ -158,7 +192,7 @@ class PlumbingGraph:
         """
         if not 0 <= vertex < len(self.weights):
             raise PlumbingError(f"no vertex {vertex} to blow up")
-        out = self._blow_up((vertex,), self.edges, {"op": "blow_up_point", "vertex": vertex})
+        out = self._blow_up((vertex,), self.edges.copy(), {"op": "blow_up_point", "vertex": vertex})
         # the new leaf takes the color opposite its neighbour
         if self._coloring is not None:
             out._coloring = self._coloring + (-self._coloring[vertex],)
@@ -241,19 +275,29 @@ class PlumbingGraph:
         if not isinstance(data, dict):
             raise PlumbingError(f"graph must be a JSON object, got {type(data).__name__}")
         graph = cls()
-        for i, item in enumerate(data.get("vertices", [])):
+        for i, item in enumerate(_json_list(data, "vertices")):
             if not isinstance(item, dict):
                 raise PlumbingError(f"vertex {i} must be a JSON object, got {type(item).__name__}")
             w, g, flag = item.get("weight"), item.get("genus", 0), item.get("exceptional", False)
-            if not (_is_json_int(w) and _is_json_int(g) and g == 0 and type(flag) is bool):
+            label = item.get("label", "")
+            if not (_is_json_int(w) and _is_json_int(g) and g == 0 and type(flag) is bool
+                    and isinstance(label, str)):
                 raise PlumbingError(f"vertex {i} needs an integer weight, genus 0 (every vertex is "
-                                    f"a sphere) and a boolean 'exceptional', got {item!r}")
-            graph.add_vertex(int(w), str(item.get("label", "")) or None, flag)
-        for u, v in data.get("edges", []):
+                                    f"a sphere), a boolean 'exceptional' and a string label, "
+                                    f"got {item!r}")
+            graph.add_vertex(int(w), label or None, flag)
+        for edge in _json_list(data, "edges"):
+            if not (isinstance(edge, list) and len(edge) == 2):
+                raise PlumbingError(f"an edge must be a list of two ends, got {edge!r}")
+            u, v = edge
             if not (_is_json_int(u) and _is_json_int(v)):
                 raise PlumbingError(f"edge ends must be integers, got {[u, v]!r}")
             graph.add_edge(int(u), int(v))
-        graph.trace = [dict(rec) for rec in data.get("trace", [])]
+        for i, rec in enumerate(_json_list(data, "trace")):
+            if not isinstance(rec, dict):
+                raise PlumbingError(
+                    f"trace record {i} must be a JSON object, got {type(rec).__name__}")
+            graph.trace.append(dict(rec))
         return graph
 
     def to_dot(self, name: str = "plumbing") -> str:

@@ -20,6 +20,7 @@ cross-checked against the quadratic-form oracle before being reported.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -458,10 +459,18 @@ def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> 
         )
     for _ in range(plan.point_blowups):
         graph = graph.blow_up_point_on_vertex(0)
+    # the heap holds the current edge set: each blow-up replaces the edge
+    # (u, v) it pops by (u, w) and (v, w), w the new sphere
+    heap = list(graph.edges)
+    heapq.heapify(heap)
     for _ in range(plan.edge_blowups):
-        if not graph.edges:
+        if not heap:
             raise PlumbingError("no edge available for an edge blow-up")
-        graph = graph.blow_up_edge(min(graph.edges))
+        u, v = heapq.heappop(heap)
+        graph = graph.blow_up_edge((u, v))
+        w = graph.vertex_count - 1
+        heapq.heappush(heap, (u, w))
+        heapq.heappush(heap, (v, w))
     return graph
 
 

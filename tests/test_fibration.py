@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negsphere import fibration
-from negsphere.fibers import catalog
+from negsphere.fibers import catalog, fiber
 from negsphere.fibration import (
     FibrationSpec,
     PAPER_VERIFIED,
@@ -18,6 +18,7 @@ from negsphere.fibration import (
     validate,
 )
 from negsphere.plumbing import PlumbingGraph, oracle_square
+from negsphere.search import WORKED_EXAMPLES
 
 
 def spec_of(n, *names):
@@ -255,3 +256,59 @@ def test_construction_square_is_oracle_checked(monkeypatch):
     monkeypatch.setattr(PlumbingGraph, "smooth", lambda graph: smooth(graph) - 1)
     with pytest.raises(AssertionError, match="oracle"):
         construction_square(2)
+
+
+def _assembled(spec, resolutions):
+    """The tree of ``spec`` put together one add_vertex/add_edge at a time."""
+    graph = PlumbingGraph()
+    graph.add_vertex(-spec.n, label="section")
+    graph.trace.append({"op": "section", "n": spec.n, "vertex": 0})
+    for i, name in enumerate(spec.fibers):
+        option = fibration.fiber_option(spec, i, resolutions.get(i))
+        fragment = option.fragment
+        if fragment is None:
+            continue
+        offset = graph.vertex_count
+        for w, lab in zip(fragment.weights, fragment.labels):
+            graph.add_vertex(w, label=f"{name}[{i}].{lab}")
+        for u, v in fragment.edges:
+            graph.add_edge(offset + u, offset + v)
+        graph.add_edge(0, offset + fragment.attachment)
+        graph.trace.append({
+            "op": "attach_fiber", "fiber": i, "name": name,
+            "choice": "fragment" if option.choice == "use" else option.choice,
+            "vertices": [offset, graph.vertex_count - 1],
+            "attached_at": offset + fragment.attachment, "blowups": option.blowups,
+        })
+    return graph
+
+
+def _equivalence_cases():
+    """(spec, resolutions): the reference specs for n = 2..7, the worked
+    examples' specs and two extended specs (E7t, III, I1_nodal), each fiber in turn
+    taking every option of its type while the others keep their defaults
+    (or, lacking one, their type's first option)."""
+    specs = [reference_decomposition(n) for n in range(2, 8)]
+    specs += [spec_of(row.n, *row.fibers) for row in WORKED_EXAMPLES if row.fibers]
+    specs += [spec_of(2, "E8t", "E7t", "III", "II_cusp"),
+              spec_of(2, "E8t", "E6t", "III", "II_cusp", "I1_nodal")]
+    for spec in specs:
+        types = [fiber(name) for name in spec.fibers]
+        base = {i: t.options[0].choice for i, t in enumerate(types) if t.default is None}
+        for i, t in enumerate(types):
+            for option in t.options:
+                yield spec, {**base, i: option.choice}
+
+
+def test_equivalence_cases_cover_every_catalog_option():
+    covered = {(spec.fibers[i], choice)
+               for spec, resolutions in _equivalence_cases() for i, choice in resolutions.items()}
+    assert covered == {(t.name, o.choice) for t in catalog() for o in t.options}
+
+
+def test_build_tree_matches_an_assembly_one_vertex_at_a_time():
+    for spec, resolutions in _equivalence_cases():
+        graph, _ = build_tree(spec, resolutions)
+        expected = _assembled(spec, resolutions)
+        assert graph.to_json_dict() == expected.to_json_dict(), (spec, resolutions)
+        assert graph.smooth() == expected.smooth() == oracle_square(graph, graph.two_coloring())

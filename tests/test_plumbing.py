@@ -243,6 +243,12 @@ def test_json_round_trip():
      "edge ends must be integers, got [0, 1.9]"),
     ({"vertices": [{"weight": -2}, {"weight": -3}], "edges": [[False, 1]]},
      "edge ends must be integers"),
+    ({"vertices": 5}, "graph 'vertices' must be a JSON list, got int"),
+    ({"edges": 7}, "graph 'edges' must be a JSON list, got int"),
+    ({"trace": 3}, "graph 'trace' must be a JSON list, got int"),
+    ({"trace": [1]}, "trace record 0 must be a JSON object, got int"),
+    ({"vertices": [{"weight": -2}], "edges": [[0]]}, "an edge must be a list of two ends, got [0]"),
+    ({"vertices": [{"weight": -2, "label": 5}]}, "a string label"),
 ])
 def test_reader_rejects_what_to_json_dict_never_writes(data, message):
     with pytest.raises(PlumbingError) as info:
@@ -477,3 +483,78 @@ def test_add_edge_to_a_missing_vertex_is_rejected():
 def test_from_weights_rejects_misaligned_labels():
     with pytest.raises(PlumbingError, match="must align"):
         PlumbingGraph.from_weights([-2, -2], [(0, 1)], labels=["only"])
+
+
+def _star(center, *leaves):
+    """A star tree: vertex 0 of weight ``center`` joined to one leaf per weight."""
+    edges = [(0, i) for i in range(1, len(leaves) + 1)]
+    return PlumbingGraph.from_weights([center, *leaves], edges)
+
+
+def test_add_tree_appends_a_shifted_block():
+    g = chain(-2, -3)
+    offset = g.add_tree(_star(-4, -5, -6), ["c", "x", "y"])
+    g.add_edge(1, offset)
+    assert offset == 2
+    assert g.weights == [-2, -3, -4, -5, -6]
+    assert g.labels == ["v0", "v1", "c", "x", "y"]
+    assert g.exceptional == [False] * 5
+    assert g.edges == [(0, 1), (2, 3), (2, 4), (1, 2)]
+    assert g.trace == []
+
+
+@pytest.mark.parametrize("tree, labels, message", [
+    (PlumbingGraph.from_weights([-2, -2, -2], [(0, 1), (1, 2), (0, 2)]), ["a", "b", "c"],
+     "add_tree takes a connected tree"),
+    (PlumbingGraph.from_weights([-2, -2, -2, -2], [(0, 1), (2, 3)]), ["a", "b", "c", "d"],
+     "add_tree takes a connected tree"),
+    (PlumbingGraph.from_weights([-2, -2, -2, -2], [(0, 1), (1, 2), (0, 2)]), ["a", "b", "c", "d"],
+     "add_tree takes a connected tree"),
+    (chain(-2, -2), ["a"], "1 labels for a tree of 2 vertices"),
+    (chain(-2, -2), ["a", "b", "c"], "3 labels for a tree of 2 vertices"),
+])
+def test_add_tree_rejects_a_non_tree_and_misaligned_labels(tree, labels, message):
+    g = chain(-2, -2)
+    before = _state(g)
+    with pytest.raises(PlumbingError) as info:
+        g.add_tree(tree, labels)
+    assert message in str(info.value) and "\n" not in str(info.value)
+    assert _state(g) == before
+
+
+@pytest.mark.parametrize("edge_set_first", [False, True])
+def test_add_tree_extends_the_duplicate_check(edge_set_first):
+    g = PlumbingGraph.from_weights([-1])
+    if edge_set_first:
+        g.add_vertex(-1)
+        g.add_edge(0, 1)  # the edge set exists before the block comes
+    assert (g._edge_set is not None) == edge_set_first
+    offset = g.add_tree(chain(-2, -2, -2), ["a", "b", "c"])
+    with pytest.raises(PlumbingError, match="already present"):
+        g.add_edge(offset + 2, offset + 1)
+    with pytest.raises(PlumbingError, match="already present"):
+        g.add_edge(offset, offset + 1)
+    g.add_edge(0, offset)
+
+
+def test_add_tree_drops_the_derived_facts():
+    g = chain(-2, -2)
+    assert g.is_tree() and g.two_coloring() == (1, -1)
+    offset = g.add_tree(chain(-3, -3), ["a", "b"])
+    assert not g.is_tree()  # two components until they are joined
+    assert _outcome(g.two_coloring) == ("error", "graph is disconnected")
+    g.add_edge(1, offset)
+    assert g.is_tree() and g.two_coloring() == (1, -1, 1, -1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(plumbing_trees(), plumbing_trees(), st.integers(0, 10**6), st.integers(0, 10**6))
+def test_property_add_tree_then_rewrites_match_a_fresh_graph(host, tree, x, y):
+    host.is_tree()  # the host's derived facts must not survive the block
+    offset = host.add_tree(tree, [f"t{i}" for i in range(tree.vertex_count)])
+    host.add_edge(x % offset, offset + y % tree.vertex_count)
+    vertex = x % host.vertex_count
+    out = host.blow_up_point_on_vertex(vertex)
+    assert _state(out) == _state(_fresh(host).blow_up_point_on_vertex(vertex))
+    assert checked_square(out) == checked_square(_fresh(out))
+    assert checked_square(host) == checked_square(_fresh(host))

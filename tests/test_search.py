@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from negsphere import fibration
 from negsphere.fibers import fiber
@@ -14,6 +15,7 @@ from negsphere.fibration import (
     PAPER_VERIFIED,
     ValidationError,
     betti,
+    build_tree,
     reference_decomposition,
     validate,
 )
@@ -276,6 +278,36 @@ def test_replay_rejects_a_plan_spending_another_budget():
     assert replay_plan(reference_decomposition(2), plan, k=1).smooth() == -91
     with pytest.raises(ValidationError, match="plan spends 1 blow-ups, budget is 2"):
         replay_plan(reference_decomposition(2), plan, k=2)
+
+
+def _replayed_by_min_scan(spec, plan):
+    """``replay_plan`` without its heap: every edge blow-up scans for the
+    smallest edge."""
+    graph, _ = build_tree(spec, plan.resolutions)
+    for _ in range(plan.point_blowups):
+        graph = graph.blow_up_point_on_vertex(0)
+    for _ in range(plan.edge_blowups):
+        if not graph.edges:
+            raise PlumbingError("no edge available for an edge blow-up")
+        graph = graph.blow_up_edge(min(graph.edges))
+    return graph
+
+
+def _json_or_error(replay, spec, plan):
+    try:
+        return replay(spec, plan).to_json_dict()
+    except PlumbingError as exc:
+        return ("error", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 40), st.integers(0, 2), st.booleans())
+def test_property_heap_replay_matches_a_min_scan(n, edge_blowups, point_blowups, bare):
+    spec = reference_decomposition(n)
+    resolutions = {i: "skip" for i in range(len(spec.fibers))} if bare else {}
+    plan = BlowupPlan(resolutions, edge_blowups=edge_blowups, point_blowups=point_blowups)
+    assert (_json_or_error(replay_plan, spec, plan)
+            == _json_or_error(_replayed_by_min_scan, spec, plan))
 
 
 def test_conjecture_check():
