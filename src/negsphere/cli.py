@@ -155,7 +155,10 @@ def _unique_keys(pairs) -> dict:
 
 def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _cmd_build(args) -> int:

@@ -34,16 +34,14 @@ class PlumbingFragment:
     _graph: PlumbingGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.weights)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"v{i}" for i in range(n)))
         # raises PlumbingError (a ValueError) on misaligned labels, a
         # self-loop, an edge out of range or a duplicate edge
-        graph = PlumbingGraph.from_weights(self.weights, self.edges, self.labels)
+        graph = PlumbingGraph(self.weights, self.edges, self.labels or None)
         if not graph.is_tree():
             raise ValueError("fragment is not a connected tree")
+        object.__setattr__(self, "labels", tuple(graph.labels))
         object.__setattr__(self, "_graph", graph)
-        if not 0 <= self.attachment < n:
+        if not 0 <= self.attachment < len(self.weights):
             raise ValueError("attachment vertex out of range")
 
     @property

@@ -169,9 +169,8 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     for i, choice in resolutions.items():
         fiber_option(spec, i, choice)
 
-    graph = PlumbingGraph()
-    graph.add_vertex(-spec.n, label="section")
-    graph.trace.append({"op": "section", "n": spec.n, "vertex": 0})
+    graph = PlumbingGraph([-spec.n], labels=["section"],
+                          trace=[{"op": "section", "n": spec.n, "vertex": 0}])
     blowups = 0
 
     for i, name in enumerate(spec.fibers):

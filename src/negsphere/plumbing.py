@@ -9,15 +9,15 @@ self-intersection of the single sphere obtained by orienting the
 components via a two-coloring (so every intersection is negative) and
 smoothing every crossing.
 
-A graph changes only through ``add_vertex``/``add_edge``/``add_tree``
-and the rewrites, which return new graphs and never mutate their input.
-Facts derived from the edges (the edge set behind the duplicate check,
-whether the graph is a tree, its two-coloring) are computed at most once
-per graph: ``add_edge``/``add_tree`` extend the edge set, all three
-drop the other two, and rewrites carry forward what they preserve (a
-blow-up keeps a tree a tree).  Cycles are rejected only when
-smoothing, not at construction time, leaving intermediate experiments
-unrestricted.
+A graph is built by its constructor, which checks every edge through
+``add_edge``; it changes only through ``add_edge``/``add_tree`` and the
+rewrites, which return new graphs and never mutate their input.  Facts
+derived from the edges (the edge set behind the duplicate check, whether
+the graph is a tree, its two-coloring) are computed at most once per
+graph: ``add_edge``/``add_tree`` extend the edge set and drop the other
+two, and rewrites carry forward what they preserve (a blow-up keeps a
+tree a tree).  Cycles are rejected only when smoothing, not at
+construction time, leaving intermediate experiments unrestricted.
 """
 
 from __future__ import annotations
@@ -46,42 +46,40 @@ def _json_list(data: dict, key: str) -> list:
     return value
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class PlumbingGraph:
-    weights: list[int] = field(default_factory=list)
-    labels: list[str] = field(default_factory=list)
-    exceptional: list[bool] = field(default_factory=list)
-    edges: list[tuple[int, int]] = field(default_factory=list)
-    trace: list[dict] = field(default_factory=list)
+    weights: list[int]
+    labels: list[str]
+    exceptional: list[bool]
+    edges: list[tuple[int, int]]
+    trace: list[dict]
     # derived from the edges on first use; add_edge/add_tree extend the edge
-    # set, and add_vertex/add_edge/add_tree drop the tree flag and the coloring
-    _edge_set: set | None = field(default=None, init=False, repr=False, compare=False)
-    _tree: bool | None = field(default=None, init=False, repr=False, compare=False)
-    _coloring: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    # set and drop the tree flag and the coloring
+    _edge_set: set | None = field(repr=False, compare=False)
+    _tree: bool | None = field(repr=False, compare=False)
+    _coloring: tuple[int, ...] | None = field(repr=False, compare=False)
 
     # -- construction ------------------------------------------------------
 
+    def __init__(self, weights=(), edges=(), labels=None, exceptional=None, trace=()) -> None:
+        """Weights go through ``int`` and each edge through ``add_edge``;
+        labels default to v0, v1, ... and exceptional flags to False."""
+        self.weights = [int(w) for w in weights]
+        n = len(self.weights)
+        self.labels = list(labels) if labels is not None else [f"v{i}" for i in range(n)]
+        self.exceptional = list(exceptional) if exceptional is not None else [False] * n
+        if not len(self.labels) == len(self.exceptional) == n:
+            raise PlumbingError(f"weights, labels and exceptional flags must align, got "
+                                f"{n}, {len(self.labels)} and {len(self.exceptional)}")
+        self.edges = []
+        self.trace = list(trace)
+        self._edge_set = self._tree = self._coloring = None
+        for u, v in edges:
+            self.add_edge(u, v)
+
     @classmethod
     def from_weights(cls, weights, edges=(), labels=None) -> "PlumbingGraph":
-        graph = cls()
-        weights = list(weights)
-        labels = list(labels) if labels is not None else [f"v{i}" for i in range(len(weights))]
-        if len(labels) != len(weights):
-            raise PlumbingError("weights and labels must align")
-        for w, lab in zip(weights, labels):
-            graph.add_vertex(int(w), lab)
-        for u, v in edges:
-            graph.add_edge(u, v)
-        return graph
-
-    def add_vertex(self, weight: int, label: str | None = None, exceptional: bool = False) -> int:
-        index = len(self.weights)
-        self.weights.append(weight)
-        self.labels.append(label if label is not None else f"v{index}")
-        self.exceptional.append(exceptional)
-        self._tree = self._coloring = None
-        return index
+        return cls(weights, edges, labels)
 
     def add_edge(self, u: int, v: int) -> None:
         n = len(self.weights)
@@ -157,14 +155,13 @@ class PlumbingGraph:
         for end in ends:
             weights[end] -= 1
         edges += [(end, w) for end in ends]
-        out = PlumbingGraph(
-            weights=weights,
-            labels=self.labels + [f"e{w}"],
-            exceptional=self.exceptional + [True],
-            edges=edges,
-            trace=self.trace + [dict(record, new_vertex=w)],
-        )
-        out._tree = self._tree
+        # the one construction without the constructor's checks: a blow-up
+        # keeps every edge in range, loop-free and distinct
+        out = object.__new__(PlumbingGraph)
+        out.weights, out.labels = weights, self.labels + [f"e{w}"]
+        out.exceptional, out.edges = self.exceptional + [True], edges
+        out.trace = self.trace + [dict(record, new_vertex=w)]
+        out._edge_set, out._tree, out._coloring = None, self._tree, None
         return out
 
     def blow_up_edge(self, edge: tuple[int, int]) -> "PlumbingGraph":
@@ -274,7 +271,7 @@ class PlumbingGraph:
         """The graph ``to_json_dict`` wrote; other input raises PlumbingError."""
         if not isinstance(data, dict):
             raise PlumbingError(f"graph must be a JSON object, got {type(data).__name__}")
-        graph = cls()
+        weights, labels, flags, edges = [], [], [], []
         for i, item in enumerate(_json_list(data, "vertices")):
             if not isinstance(item, dict):
                 raise PlumbingError(f"vertex {i} must be a JSON object, got {type(item).__name__}")
@@ -285,20 +282,22 @@ class PlumbingGraph:
                 raise PlumbingError(f"vertex {i} needs an integer weight, genus 0 (every vertex is "
                                     f"a sphere), a boolean 'exceptional' and a string label, "
                                     f"got {item!r}")
-            graph.add_vertex(int(w), label or None, flag)
+            weights.append(w)
+            labels.append(label or f"v{i}")
+            flags.append(flag)
         for edge in _json_list(data, "edges"):
             if not (isinstance(edge, list) and len(edge) == 2):
                 raise PlumbingError(f"an edge must be a list of two ends, got {edge!r}")
             u, v = edge
             if not (_is_json_int(u) and _is_json_int(v)):
                 raise PlumbingError(f"edge ends must be integers, got {[u, v]!r}")
-            graph.add_edge(int(u), int(v))
-        for i, rec in enumerate(_json_list(data, "trace")):
+            edges.append((int(u), int(v)))
+        trace = _json_list(data, "trace")
+        for i, rec in enumerate(trace):
             if not isinstance(rec, dict):
                 raise PlumbingError(
                     f"trace record {i} must be a JSON object, got {type(rec).__name__}")
-            graph.trace.append(dict(rec))
-        return graph
+        return cls(weights, edges, labels, flags, [dict(rec) for rec in trace])
 
     def to_dot(self, name: str = "plumbing") -> str:
         """Graphviz text; vertex label = weight, blow-up vertices boxed."""

@@ -20,8 +20,8 @@ cross-checked against the quadratic-form oracle before being reported.
 
 from __future__ import annotations
 
-import heapq
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -450,7 +450,11 @@ def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> 
     builder and the rewrite engine.  Point blow-ups land on the section
     (first, so a bare section grows an edge); edge blow-ups always hit the
     currently smallest edge.  With ``k`` given, checks the budget is spent
-    exactly."""
+    exactly.
+
+    A queue of section edges stands in for a heap of all edges: every
+    fragment hangs off the section (vertex 0), so (0, *) edges sort first,
+    and blowing up (0, v) adds (0, w), w the new largest vertex, and (v, w)."""
     graph, spent = build_tree(spec, resolutions=plan.resolutions)
     if k is not None and spent + plan.edge_blowups + plan.point_blowups != k:
         raise ValidationError(
@@ -459,18 +463,12 @@ def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> 
         )
     for _ in range(plan.point_blowups):
         graph = graph.blow_up_point_on_vertex(0)
-    # the heap holds the current edge set: each blow-up replaces the edge
-    # (u, v) it pops by (u, w) and (v, w), w the new sphere
-    heap = list(graph.edges)
-    heapq.heapify(heap)
+    section = deque(e for e in graph.edges if e[0] == 0)  # ascending
     for _ in range(plan.edge_blowups):
-        if not heap:
+        if not section:
             raise PlumbingError("no edge available for an edge blow-up")
-        u, v = heapq.heappop(heap)
-        graph = graph.blow_up_edge((u, v))
-        w = graph.vertex_count - 1
-        heapq.heappush(heap, (u, w))
-        heapq.heappush(heap, (v, w))
+        graph = graph.blow_up_edge(section.popleft())
+        section.append((0, graph.vertex_count - 1))
     return graph
 
 

@@ -298,6 +298,10 @@ def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, pla
      "JSON key 'edge_blowups' is given twice"),
     ('{"n": 2, "fibers": ["E8t", "E8t", "IV"]}', '{"resolutions": {"2": "resolve", "2": "skip"}}',
      "JSON key '2' is given twice"),
+    pytest.param("[" * 100000, None, "spec.json: JSON nested too deeply to read",
+                 id="deeply-nested-spec"),
+    pytest.param('{"n": 2, "fibers": ["E8t", "E8t", "IV"]}', "[" * 100000,
+                 "plan.json: JSON nested too deeply to read", id="deeply-nested-plan"),
 ])
 def test_build_repeated_json_key_exits_2_with_one_line(tmp_path, capsys, spec_text, plan_text,
                                                        message):

@@ -259,28 +259,27 @@ def test_construction_square_is_oracle_checked(monkeypatch):
 
 
 def _assembled(spec, resolutions):
-    """The tree of ``spec`` put together one add_vertex/add_edge at a time."""
-    graph = PlumbingGraph()
-    graph.add_vertex(-spec.n, label="section")
-    graph.trace.append({"op": "section", "n": spec.n, "vertex": 0})
+    """The tree of ``spec`` made by one constructor call, which checks it
+    edge by edge rather than appending each fragment as a block."""
+    weights, labels, edges = [-spec.n], ["section"], []
+    trace = [{"op": "section", "n": spec.n, "vertex": 0}]
     for i, name in enumerate(spec.fibers):
         option = fibration.fiber_option(spec, i, resolutions.get(i))
         fragment = option.fragment
         if fragment is None:
             continue
-        offset = graph.vertex_count
-        for w, lab in zip(fragment.weights, fragment.labels):
-            graph.add_vertex(w, label=f"{name}[{i}].{lab}")
-        for u, v in fragment.edges:
-            graph.add_edge(offset + u, offset + v)
-        graph.add_edge(0, offset + fragment.attachment)
-        graph.trace.append({
+        offset = len(weights)
+        weights += fragment.weights
+        labels += [f"{name}[{i}].{lab}" for lab in fragment.labels]
+        edges += [(offset + u, offset + v) for u, v in fragment.edges]
+        edges.append((0, offset + fragment.attachment))
+        trace.append({
             "op": "attach_fiber", "fiber": i, "name": name,
             "choice": "fragment" if option.choice == "use" else option.choice,
-            "vertices": [offset, graph.vertex_count - 1],
+            "vertices": [offset, len(weights) - 1],
             "attached_at": offset + fragment.attachment, "blowups": option.blowups,
         })
-    return graph
+    return PlumbingGraph(weights, edges, labels, trace=trace)
 
 
 def _equivalence_cases():

@@ -99,16 +99,16 @@ def test_smooth_single_vertex():
 
 
 def test_smooth_k3_tree():
-    # section (-2) joined to the E8t, E6t and I0star fragments: 22 vertices
-    g = PlumbingGraph.from_weights([-2])
+    # section (-2) joined to the E8t, E6t and I0star fragments: 22 vertices,
+    # built by the constructor, which checks the edges one by one
+    weights, edges = [-2], []
     for name in ("E8t", "E6t", "I0star"):
         fragment = fiber(name).option("use").fragment
-        offset = g.vertex_count
-        for w in fragment.weights:
-            g.add_vertex(w)
-        for u, v in fragment.edges:
-            g.add_edge(offset + u, offset + v)
-        g.add_edge(0, offset + fragment.attachment)
+        offset = len(weights)
+        weights += fragment.weights
+        edges += [(offset + u, offset + v) for u, v in fragment.edges]
+        edges.append((0, offset + fragment.attachment))
+    g = PlumbingGraph(weights, edges)
     assert g.vertex_count == 22
     assert g.smooth() == -86
     assert oracle_square(g, g.two_coloring()) == -86
@@ -349,7 +349,7 @@ def test_property_derived_facts_match_a_fresh_graph(ops):
     for op, x, y in ops:
         n = g.vertex_count
         if op == "vertex":
-            g.add_vertex(-(x % 9) - 1)
+            g.add_tree(PlumbingGraph([-(x % 9) - 1]), [f"v{n}"])
         elif op == "edge" and n:
             try:
                 g.add_edge(x % n, y % n)
@@ -409,10 +409,10 @@ def test_an_even_cycle_colors_but_is_no_tree():
             out.smooth()
 
 
-def test_add_vertex_after_smooth_makes_the_graph_disconnected():
+def test_a_vertex_added_after_smooth_makes_the_graph_disconnected():
     g = chain(-2, -2)
     g.smooth()
-    g.add_vertex(-3)
+    g.add_tree(PlumbingGraph([-3]), ["v2"])
     with pytest.raises(PlumbingError, match="disconnected"):
         g.smooth()
 
@@ -485,6 +485,33 @@ def test_from_weights_rejects_misaligned_labels():
         PlumbingGraph.from_weights([-2, -2], [(0, 1)], labels=["only"])
 
 
+def test_constructor_defaults_labels_and_flags_and_normalises_edges():
+    g = PlumbingGraph([-2.0, -3], [(1, 0)])
+    assert g == PlumbingGraph.from_weights([-2, -3], [(0, 1)])
+    assert repr(g) == ("PlumbingGraph(weights=[-2, -3], labels=['v0', 'v1'], "
+                       "exceptional=[False, False], edges=[(0, 1)], trace=[])")
+    assert g._edge_set == {(0, 1)} and g._tree is None and g._coloring is None
+    empty = PlumbingGraph()
+    assert (empty.weights, empty.edges, empty._edge_set) == ([], [], None)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"edges": [(0, 5)]}, "edge (0, 5) references a missing vertex"),
+    ({"edges": [(0, -1)]}, "edge (0, -1) references a missing vertex"),
+    ({"edges": [(0, 0)]}, "self-loops are not allowed"),
+    ({"edges": [(0, 1), (1, 0)]}, "edge (0, 1) already present"),
+    ({"labels": ["a"]}, "must align, got 2, 1 and 2"),
+    ({"exceptional": [True]}, "must align, got 2, 2 and 1"),
+    # once taken unchecked: (0, -1) wrapped round to a "tree" smoothing to -6
+    ({"labels": ["a", "b"], "exceptional": [False, False], "edges": [(0, -1)]},
+     "edge (0, -1) references a missing vertex"),
+])
+def test_constructor_rejects_bad_edges_and_misaligned_lists(fields, message):
+    with pytest.raises(PlumbingError) as info:
+        PlumbingGraph(weights=[-2, -2], **fields)
+    assert message in str(info.value) and "\n" not in str(info.value)
+
+
 def _star(center, *leaves):
     """A star tree: vertex 0 of weight ``center`` joined to one leaf per weight."""
     edges = [(0, i) for i in range(1, len(leaves) + 1)]
@@ -524,9 +551,8 @@ def test_add_tree_rejects_a_non_tree_and_misaligned_labels(tree, labels, message
 
 @pytest.mark.parametrize("edge_set_first", [False, True])
 def test_add_tree_extends_the_duplicate_check(edge_set_first):
-    g = PlumbingGraph.from_weights([-1])
+    g = PlumbingGraph.from_weights([-1, -1] if edge_set_first else [-1])
     if edge_set_first:
-        g.add_vertex(-1)
         g.add_edge(0, 1)  # the edge set exists before the block comes
     assert (g._edge_set is not None) == edge_set_first
     offset = g.add_tree(chain(-2, -2, -2), ["a", "b", "c"])
