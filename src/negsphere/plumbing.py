@@ -18,11 +18,15 @@ graph: ``add_edge``/``add_tree`` extend the edge set and drop the other
 two, and rewrites carry forward what they preserve (a blow-up keeps a
 tree a tree).  Cycles are rejected only when smoothing, not at
 construction time, leaving intermediate experiments unrestricted.
+
+A rewrite copies only the weights and the edges, which decide the
+smoothed square.  Its labels, exceptional flags and trace (provenance) are
+a log over an ancestor's lists, built into lists on first read and cached.
+A graph copies lists that a rewrite's output still reads before it hands
+them out or edits them, so later edits never reach across a rewrite.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 
 class PlumbingError(ValueError):
@@ -46,18 +50,10 @@ def _json_list(data: dict, key: str) -> list:
     return value
 
 
-@dataclass(slots=True, init=False)
 class PlumbingGraph:
-    weights: list[int]
-    labels: list[str]
-    exceptional: list[bool]
-    edges: list[tuple[int, int]]
-    trace: list[dict]
-    # derived from the edges on first use; add_edge/add_tree extend the edge
-    # set and drop the tree flag and the coloring
-    _edge_set: set | None = field(repr=False, compare=False)
-    _tree: bool | None = field(repr=False, compare=False)
-    _coloring: tuple[int, ...] | None = field(repr=False, compare=False)
+    __slots__ = ("weights", "edges", "_labels", "_exceptional", "_trace", "_base", "_log",
+                 "_shared", "_edge_set", "_tree", "_coloring")
+    __hash__ = None  # mutable, so not hashable
 
     # -- construction ------------------------------------------------------
 
@@ -66,13 +62,14 @@ class PlumbingGraph:
         labels default to v0, v1, ... and exceptional flags to False."""
         self.weights = [int(w) for w in weights]
         n = len(self.weights)
-        self.labels = list(labels) if labels is not None else [f"v{i}" for i in range(n)]
-        self.exceptional = list(exceptional) if exceptional is not None else [False] * n
-        if not len(self.labels) == len(self.exceptional) == n:
+        self._labels = list(labels) if labels is not None else [f"v{i}" for i in range(n)]
+        self._exceptional = list(exceptional) if exceptional is not None else [False] * n
+        if not len(self._labels) == len(self._exceptional) == n:
             raise PlumbingError(f"weights, labels and exceptional flags must align, got "
-                                f"{n}, {len(self.labels)} and {len(self.exceptional)}")
+                                f"{n}, {len(self._labels)} and {len(self._exceptional)}")
         self.edges = []
-        self.trace = list(trace)
+        self._trace = list(trace)
+        self._base, self._log, self._shared = None, None, False
         self._edge_set = self._tree = self._coloring = None
         for u, v in edges:
             self.add_edge(u, v)
@@ -82,6 +79,8 @@ class PlumbingGraph:
         return cls(weights, edges, labels)
 
     def add_edge(self, u: int, v: int) -> None:
+        if not (type(u) is int and type(v) is int):
+            raise PlumbingError(f"edge ends must be integers, got ({u!r}, {v!r})")
         n = len(self.weights)
         if not (0 <= u < n and 0 <= v < n):
             raise PlumbingError(f"edge ({u}, {v}) references a missing vertex")
@@ -110,14 +109,53 @@ class PlumbingGraph:
             raise PlumbingError("add_tree takes a connected tree")
         offset = len(self.weights)
         edges = [(u + offset, v + offset) for u, v in tree.edges]
+        own_labels, own_flags, _ = self._own()
         self.weights += tree.weights
-        self.labels += labels
-        self.exceptional += tree.exceptional
+        own_labels += labels
+        own_flags += tree.exceptional
         self.edges += edges
         if self._edge_set is not None:
             self._edge_set.update(edges)
         self._tree = self._coloring = None
         return offset
+
+    # -- provenance: labels, exceptional flags and trace ---------------------
+
+    labels = property(lambda self: self._own()[0])
+    exceptional = property(lambda self: self._own()[1])
+    trace = property(lambda self: self._own()[2])
+
+    def _own(self) -> tuple[list, list, list]:
+        """The labels, flags and trace lists, this graph's own to hand out and
+        edit: copied first while a rewrite's output reads them, or built from
+        the log on first use (by a loop: a log may be thousands of links long)."""
+        if self._shared:
+            self._labels, self._exceptional = self._labels.copy(), self._exceptional.copy()
+            self._trace, self._shared = self._trace.copy(), False
+        elif self._base is not None:
+            (labels, flags, trace), link, links = self._base, self._log, []
+            while link is not None:
+                links.append(link)
+                link = link[0]
+            links.reverse()  # oldest blow-up first
+            self._labels = labels + [f"e{w}" for _, _, w in links]
+            self._exceptional = flags + [True] * len(links)
+            self._trace = trace + [
+                {"op": "blow_up_edge", "edge": list(ends), "new_vertex": w} if len(ends) == 2
+                else {"op": "blow_up_point", "vertex": ends[0], "new_vertex": w}
+                for _, ends, w in links]
+            self._base = self._log = None
+        return self._labels, self._exceptional, self._trace
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weights, self.edges, self._own()) == (other.weights, other.edges, other._own())
+
+    def __repr__(self) -> str:
+        labels, flags, trace = self._own()
+        return (f"PlumbingGraph(weights={self.weights!r}, labels={labels!r}, "
+                f"exceptional={flags!r}, edges={self.edges!r}, trace={trace!r})")
 
     # -- basic queries -----------------------------------------------------
 
@@ -145,11 +183,14 @@ class PlumbingGraph:
 
     # -- rewrites ----------------------------------------------------------
 
-    def _blow_up(self, ends, edges, record: dict) -> "PlumbingGraph":
+    def _blow_up(self, ends, edges) -> "PlumbingGraph":
         """Blow up a point on the spheres ``ends``: each square drops by 1 and
         the new (-1)-sphere w meets each end once.  ``edges`` is a new list,
         the edges the output keeps; the output takes it, appends w's edges
-        and carries the tree flag, since the new sphere keeps a tree a tree."""
+        and carries the tree flag, since the new sphere keeps a tree a tree.
+
+        Only weights and edges are copied: the output's provenance is an
+        ancestor's lists (``_base``) then a link (previous, ends, w) per blow-up."""
         w = len(self.weights)
         weights = self.weights + [-1]
         for end in ends:
@@ -158,10 +199,14 @@ class PlumbingGraph:
         # the one construction without the constructor's checks: a blow-up
         # keeps every edge in range, loop-free and distinct
         out = object.__new__(PlumbingGraph)
-        out.weights, out.labels = weights, self.labels + [f"e{w}"]
-        out.exceptional, out.edges = self.exceptional + [True], edges
-        out.trace = self.trace + [dict(record, new_vertex=w)]
-        out._edge_set, out._tree, out._coloring = None, self._tree, None
+        out.weights, out.edges = weights, edges
+        if self._base is None:
+            self._shared = True  # _own copies the lists before they can change
+            out._base = (self._labels, self._exceptional, self._trace)
+            out._log = (None, ends, w)
+        else:
+            out._base, out._log = self._base, (self._log, ends, w)
+        out._shared, out._edge_set, out._tree, out._coloring = False, None, self._tree, None
         return out
 
     def blow_up_edge(self, edge: tuple[int, int]) -> "PlumbingGraph":
@@ -178,7 +223,7 @@ class PlumbingGraph:
             raise PlumbingError(f"no edge {key} to blow up") from None
         edges = self.edges.copy()
         del edges[i]
-        return self._blow_up(key, edges, {"op": "blow_up_edge", "edge": list(key)})
+        return self._blow_up(key, edges)
 
     def blow_up_point_on_vertex(self, vertex: int) -> "PlumbingGraph":
         """Blow up a generic point of one sphere.
@@ -189,7 +234,7 @@ class PlumbingGraph:
         """
         if not 0 <= vertex < len(self.weights):
             raise PlumbingError(f"no vertex {vertex} to blow up")
-        out = self._blow_up((vertex,), self.edges.copy(), {"op": "blow_up_point", "vertex": vertex})
+        out = self._blow_up((vertex,), self.edges.copy())
         # the new leaf takes the color opposite its neighbour
         if self._coloring is not None:
             out._coloring = self._coloring + (-self._coloring[vertex],)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 import tempfile
 from contextlib import redirect_stdout
@@ -21,6 +22,8 @@ from pathlib import Path
 
 from negsphere.cli import main
 from negsphere.search import MAX_K, MAX_N, best_sphere
+
+from treegen import random_tree_graph
 
 GOLDEN = Path(__file__).with_name("golden.sha256")
 
@@ -38,12 +41,35 @@ def _search_digest(n: int) -> str:
     return digest.hexdigest()
 
 
+def _rewrite_digest() -> str:
+    """One digest over 300 seeded random chains of up to 20 blow-ups on trees
+    of up to 12 vertices: the JSON (key order kept), DOT and repr of each
+    chain's last graph and of a random quarter of the graphs before it.
+    Searches never spend a point blow-up, so only this entry covers them."""
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        g = random_tree_graph(rng, max_vertices=12)
+        steps = rng.randint(1, 20)
+        for step in range(steps):
+            if g.edges and rng.random() < 0.5:
+                g = g.blow_up_edge(rng.choice(g.edges))
+            else:
+                g = g.blow_up_point_on_vertex(rng.randrange(g.vertex_count))
+            if step == steps - 1 or rng.random() < 0.25:
+                for text in (json.dumps(g.to_json_dict()), g.to_dot(), repr(g)):
+                    digest.update(text.encode())
+                    digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def _cli_digest(workdir: Path, *argv: str) -> str:
     """Digest of the command's exit code, stdout and DOT file (when it writes one)."""
     dot = workdir / "out.dot"
     dot.unlink(missing_ok=True)
     out = io.StringIO()
     with redirect_stdout(out):
+        # every --dot writes to the one scratch file
         code = main([arg for a in argv for arg in ((a, str(dot)) if a == "--dot" else (a,))])
     text = f"{code}\0{out.getvalue()}\0{dot.read_text() if dot.exists() else ''}"
     return hashlib.sha256(text.encode()).hexdigest()
@@ -52,6 +78,7 @@ def _cli_digest(workdir: Path, *argv: str) -> str:
 def corpus() -> dict[str, str]:
     """Name -> digest, in file order."""
     entries = {f"best_sphere n={n}": _search_digest(n) for n in range(2, MAX_N + 1)}
+    entries["random rewrite chains"] = _rewrite_digest()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for argv in (("conjecture", "--json"), ("catalog", "--json", "--dot"),

@@ -373,19 +373,106 @@ def _state(g):
     return g.to_json_dict(), g._tree, g._coloring
 
 
+def _a_missing_edge(g):
+    """Two vertices of g with no edge between them, adding a vertex if g has none."""
+    present = set(g.edges)
+    for v in range(g.vertex_count):
+        for u in range(v):
+            if (u, v) not in present:
+                return u, v
+    return 0, g.add_tree(PlumbingGraph([-3]), ["new"])
+
+
+# the ways a caller can change a graph in place
+_EDITS = {
+    "add_tree": lambda g: g.add_tree(PlumbingGraph([-3]), ["new"]),
+    "add_edge": lambda g: g.add_edge(*_a_missing_edge(g)),
+    "trace": lambda g: g.trace.append({"op": "edit"}),
+    "label": lambda g: g.labels.__setitem__(0, "edited"),
+    "flag": lambda g: g.exceptional.__setitem__(0, not g.exceptional[0]),
+}
+
+
 @settings(max_examples=200, deadline=None)
-@given(plumbing_trees(), st.integers(0, 10**6), st.sampled_from(("none", "is_tree", "coloring")))
-def test_property_rewrites_leave_their_input_alone(g, pick, derived):
+@given(plumbing_trees(), st.integers(0, 10**6), st.sampled_from(("none", "is_tree", "coloring")),
+       st.sampled_from(sorted(_EDITS)))
+def test_property_rewrites_leave_their_input_alone(g, pick, derived, edit):
     if derived == "is_tree":
         g.is_tree()
     elif derived == "coloring":
         g.two_coloring()
     before = _state(g)
+    outs = []
     if g.edges:
-        g.blow_up_edge(g.edges[pick % len(g.edges)])
+        outs.append(g.blow_up_edge(g.edges[pick % len(g.edges)]))
         assert _state(g) == before
-    g.blow_up_point_on_vertex(pick % g.vertex_count)
+    outs.append(g.blow_up_point_on_vertex(pick % g.vertex_count))
     assert _state(g) == before
+    # nor does an edit of the input reach the outputs afterwards
+    written = [out.to_json_dict() for out in outs]
+    _EDITS[edit](g)
+    assert [out.to_json_dict() for out in outs] == written
+
+
+def _chain_input(lazy):
+    """chain(-2, -3, -4), or a rewrite of it whose provenance is still a log."""
+    g = chain(-2, -3, -4)
+    return g.blow_up_point_on_vertex(2) if lazy else g
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+@pytest.mark.parametrize("edit", sorted(_EDITS))
+def test_edits_after_a_rewrite_do_not_reach_across_it(edit, lazy):
+    # read on twins, so that the graphs under test stay unread until the edit
+    want_g = _chain_input(lazy).to_json_dict()
+    want_h = _chain_input(lazy).blow_up_edge((0, 1)).to_json_dict()
+    want_p = _chain_input(lazy).blow_up_point_on_vertex(0).to_json_dict()
+
+    g = _chain_input(lazy)
+    h, pointed = g.blow_up_edge((0, 1)), g.blow_up_point_on_vertex(0)
+    _EDITS[edit](g)
+    assert (h.to_json_dict(), pointed.to_json_dict()) == (want_h, want_p)
+
+    g = _chain_input(lazy)
+    h, pointed = g.blow_up_edge((0, 1)), g.blow_up_point_on_vertex(0)
+    _EDITS[edit](h)
+    assert (g.to_json_dict(), pointed.to_json_dict()) == (want_g, want_p)
+
+
+def test_a_long_blow_up_log_reads_back_without_recursion():
+    g = chain(-2, -2)
+    labels, flags, trace = list(g.labels), list(g.exceptional), list(g.trace)
+    for step in range(5000):
+        w = g.vertex_count
+        if step % 10 == 9:
+            edge = g.edges[0]
+            g = g.blow_up_edge(edge)
+            trace.append({"op": "blow_up_edge", "edge": list(edge), "new_vertex": w})
+        else:
+            g = g.blow_up_point_on_vertex(0)
+            trace.append({"op": "blow_up_point", "vertex": 0, "new_vertex": w})
+        labels.append(f"e{w}")
+        flags.append(True)
+    assert g.labels == labels and g.exceptional == flags and g.trace == trace
+    assert g.labels is g.labels and g.exceptional is g.exceptional and g.trace is g.trace
+
+
+def test_provenance_takes_part_in_equality_and_graphs_stay_unhashable():
+    base = PlumbingGraph([-2, -3], [(0, 1)], trace=[{"op": "a"}])
+    for other in (PlumbingGraph([-2, -3], [(0, 1)], ["v0", "x"], trace=[{"op": "a"}]),
+                  PlumbingGraph([-2, -3], [(0, 1)], exceptional=[False, True], trace=[{"op": "a"}]),
+                  PlumbingGraph([-2, -3], [(0, 1)], trace=[{"op": "b"}])):
+        assert other != base and base != other
+    lazy = chain(-2, -3).blow_up_edge((0, 1)).blow_up_point_on_vertex(2)
+    twin = chain(-2, -3).blow_up_edge((0, 1)).blow_up_point_on_vertex(2)
+    assert repr(twin) == repr(_fresh(twin)) and lazy == twin
+    for edit in ("label", "flag", "trace"):
+        edited = chain(-2, -3).blow_up_edge((0, 1)).blow_up_point_on_vertex(2)
+        _EDITS[edit](edited)
+        assert edited != lazy
+    for g in (base, lazy):
+        with pytest.raises(TypeError):
+            hash(g)
 
 
 def test_closing_a_cycle_after_smooth_is_rejected():
@@ -505,6 +592,10 @@ def test_constructor_defaults_labels_and_flags_and_normalises_edges():
     # once taken unchecked: (0, -1) wrapped round to a "tree" smoothing to -6
     ({"labels": ["a", "b"], "exceptional": [False, False], "edges": [(0, -1)]},
      "edge (0, -1) references a missing vertex"),
+    # once taken unchecked: (0, True) smoothed to -6, (0, 1.0) raised a bare TypeError
+    ({"edges": [(0, True)]}, "edge ends must be integers, got (0, True)"),
+    ({"edges": [(0, 1.0)]}, "edge ends must be integers, got (0, 1.0)"),
+    ({"edges": [("0", 1)]}, "edge ends must be integers, got ('0', 1)"),
 ])
 def test_constructor_rejects_bad_edges_and_misaligned_lists(fields, message):
     with pytest.raises(PlumbingError) as info:
