@@ -1,0 +1,181 @@
+"""Paired benchmark runs of a parent commit against the checkout, written to BENCH_<workload>.json.
+
+    python3 scripts/bench_pairs.py --parent REV --workload W --pairs N --first-seed S
+
+Run from anywhere inside the repository.  The parent side is REV's
+committed files, unpacked with ``git archive`` into a temporary directory;
+the change side is the working tree at the repository root.  The script
+refuses to run when the two sides' benchmark (``BENCHMARK.json`` and the
+directories it lists as ``paths``) differ, since the pairs would then
+measure two benchmarks instead of two programs.
+
+Pair i runs seed S + i on both sides, with ``--trace 0`` and the run
+length declared in ``BENCHMARK.json``.  The parent goes first in even
+pairs and the change in odd ones, so a drift of the machine over the
+session falls on both sides alike.  The output file holds both commits,
+the Python version, the command line, every pair's metrics, each side's
+median and quartiles per end-to-end metric, and the number of pairs in
+which the change was better.  The exit code is 0 when every run checked
+out (``correct``), 1 otherwise, and 2 when the script refuses to run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+
+class Refused(RuntimeError):
+    """The pairs cannot be run as asked."""
+
+
+def git(root: Path, *args: str, text: bool = True):
+    done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=text)
+    if done.returncode != 0:
+        err = done.stderr if text else done.stderr.decode(errors="replace")
+        raise Refused(f"git {' '.join(args)}: {err.strip()}")
+    return done.stdout
+
+
+def unpack(root: Path, commit: str, into: Path) -> None:
+    """REV's committed files, as a fresh checkout would have them."""
+    with tarfile.open(fileobj=io.BytesIO(git(root, "archive", commit, text=False))) as archive:
+        if hasattr(tarfile, "data_filter"):
+            archive.extractall(into, filter="data")
+        else:  # Python releases before the extraction filters
+            archive.extractall(into)
+
+
+def check_same_benchmark(root: Path, commit: str, paths: list[str]) -> None:
+    watched = ["BENCHMARK.json", *paths]
+    changed = subprocess.run(["git", "diff", "--quiet", commit, "--", *watched], cwd=root)
+    untracked = git(root, "ls-files", "--others", "--exclude-standard", "--", *watched)
+    if changed.returncode != 0 or untracked.strip():
+        raise Refused(f"the benchmark ({', '.join(watched)}) differs between {commit[:12]} "
+                      "and the working tree; pairs would compare two benchmarks")
+
+
+def run_side(side: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(argv, cwd=side, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode != 0 or not lines:
+        raise Refused(f"{' '.join(argv)} in {side} exited {done.returncode}: "
+                      f"{done.stderr.strip()[-500:]}")
+    result = json.loads(lines[-1])
+    record = json.loads((side / ".bench_out" / f"{workload}-trace0.json").read_text())
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "python": record["python"],
+        "machine": record["machine"],
+        "metrics": {name: item["value"] for name, item in result["metrics"].items()},
+    }
+
+
+def spread(values: list[float]) -> dict:
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    summary = {}
+    for metric in end_to_end:
+        name, lower = metric["name"], metric["better"] == "lower"
+        parent = [pair["parent"]["metrics"][name] for pair in pairs]
+        change = [pair["change"]["metrics"][name] for pair in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        sides = {"parent": spread(parent), "change": spread(change)}
+        base = sides["parent"]["median"]
+        summary[name] = {
+            "better": metric["better"],
+            "bound": metric["bound"],
+            **sides,
+            "median_change": (sides["change"]["median"] - base) / base if base else None,
+            "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
+            "change_wins": wins,
+            "pairs": len(pairs),
+        }
+    return summary
+
+
+def parse_args(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    try:
+        root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").strip())
+        bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+        if args.workload not in {w["name"] for w in bench["workloads"]}:
+            raise Refused(f"BENCHMARK.json declares no workload {args.workload!r}")
+        parent = git(root, "rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+        check_same_benchmark(root, parent, bench["paths"])
+        head = git(root, "rev-parse", "HEAD").strip()
+        dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no").strip())
+        pairs = []
+        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+            sides = {"parent": Path(tmp), "change": root}
+            unpack(root, parent, sides["parent"])
+            for side in sides.values():  # neither side pays for compiling in a timed run
+                subprocess.run([sys.executable, "-m", "compileall", "-q", "src", *bench["paths"]],
+                               cwd=side, check=True, capture_output=True)
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for name in order:
+                    pair[name] = run_side(sides[name], bench["command"], args.workload, seed,
+                                          bench["run_seconds"])
+                    print(f"pair {i + 1}/{args.pairs} seed {seed} {name}: "
+                          f"correct {pair[name]['correct']} "
+                          f"op_p50_ms {pair[name]['metrics'].get('op_p50_ms')}", file=sys.stderr)
+                pairs.append(pair)
+    except Refused as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return 2
+
+    first = pairs[0]["parent"]
+    report = {
+        "workload": args.workload,
+        "command": " ".join(["python3", "scripts/bench_pairs.py", *(argv or sys.argv[1:])]),
+        "run_command": [*bench["command"], "--workload", args.workload, "--seed", "<seed>",
+                        "--seconds", str(bench["run_seconds"]), "--trace", "0"],
+        "python": first["python"],
+        "machine": first["machine"],
+        "parent": {"rev": args.parent, "commit": parent},
+        "change": {"commit": head, "uncommitted_changes": dirty},
+        "all_correct": all(pair[side]["correct"] for pair in pairs for side in ("parent", "change")),
+        "summary": summarise(pairs, bench["end_to_end"]),
+        "pairs": pairs,
+    }
+    out = root / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0 if report["all_correct"] else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

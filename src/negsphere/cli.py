@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -52,6 +53,7 @@ def _add_flags(sub: argparse.ArgumentParser, *flags: str) -> None:
         sub.add_argument(flag, **_FLAGS[flag])
 
 
+@functools.cache  # built on the first main call, then reused: parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negsphere",
@@ -320,8 +322,7 @@ def _cmd_catalog(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except NoSolutionError as exc:

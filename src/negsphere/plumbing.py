@@ -23,7 +23,9 @@ A rewrite copies only the weights and the edges, which decide the
 smoothed square.  Its labels, exceptional flags and trace (provenance) are
 a log over an ancestor's lists, built into lists on first read and cached.
 A graph copies lists that a rewrite's output still reads before it hands
-them out or edits them, so later edits never reach across a rewrite.
+them out or edits them, and trace records (dicts) are copied wherever they
+cross from one graph, or from a graph to its JSON, to another, so later
+edits never reach across a rewrite.
 """
 
 from __future__ import annotations
@@ -47,6 +49,15 @@ def _json_list(data: dict, key: str) -> list:
     value = data.get(key, [])
     if not isinstance(value, list):
         raise PlumbingError(f"graph {key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _json_copy(value):
+    """A copy of a JSON value that shares no list or dict with it."""
+    if type(value) is dict:
+        return {key: _json_copy(item) for key, item in value.items()}
+    if type(value) is list:
+        return [_json_copy(item) for item in value]
     return value
 
 
@@ -128,10 +139,12 @@ class PlumbingGraph:
     def _own(self) -> tuple[list, list, list]:
         """The labels, flags and trace lists, this graph's own to hand out and
         edit: copied first while a rewrite's output reads them, or built from
-        the log on first use (by a loop: a log may be thousands of links long)."""
+        the log on first use (by a loop: a log may be thousands of links long).
+        Either way the trace records are copied too, since the ancestor's are
+        shared with every graph that reads them."""
         if self._shared:
             self._labels, self._exceptional = self._labels.copy(), self._exceptional.copy()
-            self._trace, self._shared = self._trace.copy(), False
+            self._trace, self._shared = [_json_copy(rec) for rec in self._trace], False
         elif self._base is not None:
             (labels, flags, trace), link, links = self._base, self._log, []
             while link is not None:
@@ -140,7 +153,7 @@ class PlumbingGraph:
             links.reverse()  # oldest blow-up first
             self._labels = labels + [f"e{w}" for _, _, w in links]
             self._exceptional = flags + [True] * len(links)
-            self._trace = trace + [
+            self._trace = [_json_copy(rec) for rec in trace] + [
                 {"op": "blow_up_edge", "edge": list(ends), "new_vertex": w} if len(ends) == 2
                 else {"op": "blow_up_point", "vertex": ends[0], "new_vertex": w}
                 for _, ends, w in links]
@@ -297,18 +310,14 @@ class PlumbingGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        labels, flags, trace = self._own()
         return {
             "vertices": [
-                {
-                    "label": self.labels[i],
-                    "weight": self.weights[i],
-                    "genus": 0,
-                    "exceptional": self.exceptional[i],
-                }
-                for i in range(len(self.weights))
+                {"label": labels[i], "weight": weight, "genus": 0, "exceptional": flags[i]}
+                for i, weight in enumerate(self.weights)
             ],
             "edges": [list(e) for e in self.edges],
-            "trace": list(self.trace),
+            "trace": [_json_copy(rec) for rec in trace],
         }
 
     @classmethod

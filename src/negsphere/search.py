@@ -42,7 +42,7 @@ from .fibration import (
     fiber_option,
     reference_decomposition,
 )
-from .plumbing import PlumbingError, PlumbingGraph, checked_square
+from .plumbing import PlumbingError, PlumbingGraph, _json_copy, checked_square
 
 #: Searched by default: the types whose words are powers of (ab), so a
 #: multiset's validity does not depend on fiber order.
@@ -148,7 +148,7 @@ class SearchResult:
             "plan": self.plan.to_json_dict(),
             "ratio": {"num": self.ratio.numerator, "den": self.ratio.denominator},
             "provenance": self.provenance,
-            "trace": list(self.trace),
+            "trace": [_json_copy(rec) for rec in self.trace],
         }
 
 

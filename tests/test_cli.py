@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -444,3 +445,57 @@ def test_verify_paper_builds_each_reference_tree_once(capsys, monkeypatch):
     # n = 2..20 once each for the s-table and closed-form items, plus the guarantees
     assert sorted(set(calls)) == list(range(2, 21))
     assert len(calls) <= 22
+
+
+# -- one parser per process ---------------------------------------------------
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "formula", "3")
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(kw.get("prog")) or init(self, *a, **kw))
+    for argv in (["formula", "3"], ["search", "2", "1", "--json"], ["catalog"]):
+        assert run(capsys, *argv)[0] == 0
+    with pytest.raises(SystemExit):
+        main(["catalog", "--max-n", "3"])
+    assert built == []
+
+
+def test_subcommand_defaults_do_not_leak_between_calls(capsys):
+    assert run(capsys, "conjecture", "--json")[0] == 0  # defaults max_n=12, max_k=10
+    code, out, _ = run(capsys, "search", "30", "50", "--json")
+    assert code == 0 and json.loads(out)["n"] == 30
+    assert run(capsys, "formula", "30")[0] == 0
+    for argv in (["search", "31", "0"], ["search", "2", "51"], ["formula", "31"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "desk-scale guard" in err
+
+
+def _usage_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_a_usage_error_leaves_the_parser_as_a_first_call_finds_it(capsys):
+    cli._build_parser.cache_clear()
+    first = run(capsys, "formula", "3", "--json")
+    usage = _usage_exit(capsys, ["catalog", "--max-n", "3"])
+    assert usage[0] == 2 and "unrecognized arguments: --max-n 3" in usage[2]
+    assert run(capsys, "formula", "3", "--json") == first
+    cli._build_parser.cache_clear()
+    assert _usage_exit(capsys, ["catalog", "--max-n", "3"]) == usage
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["search", "--help"], ["conjecture", "--help"]])
+def test_help_is_the_same_on_a_first_call_and_after_other_commands(capsys, argv):
+    cli._build_parser.cache_clear()
+    first = _usage_exit(capsys, argv)
+    assert first[0] == 0 and first[1].startswith("usage: negsphere")
+    for other in (["conjecture", "--max-n", "3", "--max-k", "1"], ["formula", "4", "--json"]):
+        run(capsys, *other)
+    _usage_exit(capsys, ["formula"])
+    assert _usage_exit(capsys, argv) == first

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from negsphere.fibers import fiber
 from negsphere.plumbing import PlumbingError, PlumbingGraph, checked_square, oracle_square
+from negsphere.search import best_sphere
 
 from treegen import random_tree_graph
 
@@ -437,6 +438,29 @@ def test_edits_after_a_rewrite_do_not_reach_across_it(edit, lazy):
     h, pointed = g.blow_up_edge((0, 1)), g.blow_up_point_on_vertex(0)
     _EDITS[edit](h)
     assert (g.to_json_dict(), pointed.to_json_dict()) == (want_g, want_p)
+
+
+def test_trace_records_are_not_shared_across_a_rewrite_or_a_json_dict():
+    g = PlumbingGraph([-2, -2], [(0, 1)], trace=[{"op": "section"}])
+    h = g.blow_up_edge((0, 1))
+    g.trace[0]["op"] = "edited"
+    assert h.to_json_dict()["trace"][0] == {"op": "section"}
+
+    # the rewrite's output, read first, edits records of its own
+    g = PlumbingGraph([-2, -2], [(0, 1)], trace=[{"op": "section"}])
+    h = g.blow_up_edge((0, 1))
+    h.trace[0]["op"] = "edited"
+    assert g.to_json_dict()["trace"] == [{"op": "section"}]
+
+    payload = h.to_json_dict()
+    payload["trace"][0]["op"] = "edited again"
+    payload["trace"][1]["edge"].append(9)
+    assert h.trace == [{"op": "edited"}, {"op": "blow_up_edge", "edge": [0, 1], "new_vertex": 2}]
+
+    result = best_sphere(6, 3)
+    first = dict(result.trace[0])
+    result.to_json_dict()["trace"][0]["op"] = "edited"
+    assert result.trace[0] == first and result.graph.trace[0] == first
 
 
 def test_a_long_blow_up_log_reads_back_without_recursion():
