@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sl2z
-from .fibers import FiberOption, fiber, order_index
+from .fibers import FiberOption, catalog, fiber
 from .plumbing import PlumbingGraph, _is_json_int, checked_square
 
 PAPER_VERIFIED = "paper_verified"
@@ -24,6 +24,14 @@ ASSUMED_REALIZABLE = "assumed_realizable"
 
 class ValidationError(ValueError):
     """A fibration spec violates an invariant."""
+
+
+# per name: Euler number, monodromy word and canonical rank, read straight
+# from the catalog once ``FibrationSpec`` has checked every name
+_EULER = {entry.name: entry.euler for entry in catalog()}
+_WORD = {entry.name: entry.word for entry in catalog()}
+_RANK = {entry.name: i for i, entry in enumerate(catalog())}
+_NAMES = frozenset(_EULER)
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,21 +44,22 @@ class FibrationSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fibers", tuple(self.fibers))
-        for name in self.fibers:
-            fiber(name)
+        if not _NAMES.issuperset(self.fibers):
+            for name in self.fibers:
+                fiber(name)  # raises, naming the first unknown type
         if self.provenance not in (PAPER_VERIFIED, ASSUMED_REALIZABLE):
             raise ValidationError(f"unknown provenance {self.provenance!r}")
 
     def canonical(self) -> "FibrationSpec":
         """Same multiset of fibers, sorted in canonical order."""
-        ordered = tuple(sorted(self.fibers, key=order_index))
+        ordered = tuple(sorted(self.fibers, key=_RANK.__getitem__))
         return FibrationSpec(self.n, ordered, self.provenance)
 
     def euler_sum(self) -> int:
-        return sum(fiber(name).euler for name in self.fibers)
+        return sum(map(_EULER.__getitem__, self.fibers))
 
     def total_word(self) -> str:
-        return "".join(fiber(name).word for name in self.fibers)
+        return "".join(map(_WORD.__getitem__, self.fibers))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "fibers": list(self.fibers), "provenance": self.provenance}

@@ -127,17 +127,23 @@ class BlowupPlan:
 class SearchResult:
     """The winner of a search.  ``graph`` is the replayed, oracle-checked
     plumbing graph; it is left out of ``==`` and of the JSON form, which
-    carries its ``trace``.  Not hashable: ``trace`` is a list of dicts."""
+    carries its ``trace``.  Not hashable, like the graph it holds."""
 
     n: int
     k: int
     best_square: int
     spec: FibrationSpec
     plan: BlowupPlan
-    trace: list[dict]
     ratio: Fraction
     provenance: str
     graph: PlumbingGraph | None = field(default=None, compare=False, repr=False)
+
+    __hash__ = None
+
+    @property
+    def trace(self) -> list[dict]:
+        """The blow-up log of ``graph`` itself (not a copy); empty without a graph."""
+        return [] if self.graph is None else self.graph.trace
 
     def to_json_dict(self) -> dict:
         return {
@@ -269,7 +275,7 @@ WORKED_EXAMPLES = (
 )
 
 
-# one set lookup per spec, so enumerate_specs does not scan the table
+# one set lookup per multiset, so _documented_choices does not scan the table
 _WORKED_SPECS = {(row.n, row.fibers) for row in WORKED_EXAMPLES if row.fibers is not None}
 
 
@@ -309,17 +315,22 @@ def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
     canonical order.  With only (ab)-power fiber types the monodromy is
     automatically (ab)^{6n} = 1; extended types (E7t, III, I1_nodal) make
     the product order-dependent, so each candidate's canonical-order word
-    is checked and non-trivial products are dropped.
+    is checked and non-trivial products are dropped.  Which check applies
+    and which multisets are documented is settled once per call.
     """
     if n < 2:
         raise ValidationError(f"n must be at least 2, got {n}")
     names = _resolve_allowed(allowed, extended)
     eulers = tuple(fiber(nm).euler for nm in names)
+    ab_only = AB_POWER_FIBERS.issuperset(names)
+    # the multisets on which _documented_choices finds a construction
+    documented = {reference_decomposition(n).fibers} | {
+        fibers for m, fibers in _WORKED_SPECS if m == n}
     for counts in _iter_counts(eulers, 12 * n):
-        if not _monodromy_is_trivial(names, counts):
+        if not (ab_only or _monodromy_is_trivial(names, counts)):
             continue
         fibers = _expand(names, counts)
-        provenance = ASSUMED_REALIZABLE if _documented_choices(n, fibers) is None else PAPER_VERIFIED
+        provenance = PAPER_VERIFIED if fibers in documented else ASSUMED_REALIZABLE
         yield FibrationSpec(n=n, fibers=fibers, provenance=provenance)
 
 
@@ -413,6 +424,7 @@ def _dfs_best(n, k, names):
     for pos in reversed(range(m)):
         rates[pos] = min(rates[pos + 1], adj[pos] * (scale // eulers[pos]))
     partial = [(-n - 5 * k) * scale] + [0] * m  # scaled bound of counts[:pos]
+    ab_only = AB_POWER_FIBERS.issuperset(names)
     best = None
 
     def prune(pos, remaining, counts):
@@ -421,7 +433,7 @@ def _dfs_best(n, k, names):
         return best is not None and partial[pos] + rates[pos] * remaining >= best[0] * scale
 
     for counts in _iter_counts(eulers, 12 * n, prune):
-        if _monodromy_is_trivial(names, counts):
+        if ab_only or _monodromy_is_trivial(names, counts):
             value, plan = _best_plan_for_counts(n, k, names, counts)
             if best is None or value < best[0]:
                 best = (value, counts, plan)
@@ -517,7 +529,6 @@ def best_sphere(
         best_square=value,
         spec=spec,
         plan=plan,
-        trace=list(graph.trace),
         ratio=Fraction(value, betti(n, k).b2),
         provenance=provenance,
         graph=graph,

@@ -240,6 +240,17 @@ def test_spec_rejects_unknown_fiber():
         FibrationSpec(n=2, fibers=("E8t", "nope"))
 
 
+def test_spec_names_the_first_unknown_fiber_after_many_valid_ones():
+    with pytest.raises(ValueError, match=r"^unknown fiber type 'X'; known: E8t, "):
+        FibrationSpec(n=2, fibers=["E8t"] * 40 + ["X", "Y"])
+
+
+def test_spec_stores_a_list_of_names_as_a_tuple():
+    spec = FibrationSpec(n=2, fibers=["E8t", "E8t", "IV"])
+    assert spec.fibers == ("E8t", "E8t", "IV") and type(spec.fibers) is tuple
+    assert spec == spec_of(2, "E8t", "E8t", "IV") and hash(spec) == hash(spec_of(2, "E8t", "E8t", "IV"))
+
+
 def test_canonical_sorting():
     spec = FibrationSpec(n=2, fibers=("IV", "E8t", "E8t"))
     assert spec.canonical().fibers == ("E8t", "E8t", "IV")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from negsphere import fibration
+from negsphere import fibration, search
 from negsphere.fibers import fiber
 from negsphere.fibration import (
     ASSUMED_REALIZABLE,
@@ -24,6 +24,8 @@ from negsphere.search import (
     BlowupPlan,
     NoSolutionError,
     SearchResult,
+    _documented_choices,
+    _monodromy_is_trivial,
     best_sphere,
     blowup_guarantee,
     conjecture_check,
@@ -89,6 +91,45 @@ def test_enumerate_specs_provenance():
     assert by_fibers[("E8t", "E6t", "I0star")] == PAPER_VERIFIED
     assert by_fibers[("E8t", "E8t", "IV")] == PAPER_VERIFIED
     assert by_fibers[("E6t", "E6t", "E6t")] == ASSUMED_REALIZABLE
+
+
+def coin_change_count(total, coins=(10, 8, 6, 4, 2)):
+    ways = [1] + [0] * total
+    for coin in coins:
+        for value in range(coin, total + 1):
+            ways[value] += ways[value - coin]
+    return ways[total]
+
+
+def test_enumerate_specs_yields_every_default_multiset_with_its_provenance():
+    for n in range(2, 13):
+        specs = list(enumerate_specs(n))
+        assert len(specs) == coin_change_count(12 * n)
+        for spec in specs:
+            documented = _documented_choices(n, spec.fibers) is not None
+            assert spec.provenance == (PAPER_VERIFIED if documented else ASSUMED_REALIZABLE)
+    assert len(specs) == 13811
+
+
+def count_vectors(eulers, total):
+    """Every count vector with sum(count * euler) == total, in no set order."""
+    if len(eulers) == 1:
+        return [(total // eulers[0],)] if total % eulers[0] == 0 else []
+    return [(c, *rest) for c in range(total // eulers[0] + 1)
+            for rest in count_vectors(eulers[1:], total - c * eulers[0])]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_extended_enumeration_is_a_per_spec_monodromy_filter(n):
+    names = ("E8t", "E7t", "E6t", "I0star", "IV", "III", "II_cusp", "I1_nodal")
+    kept = sorted((c for c in count_vectors([fiber(nm).euler for nm in names], 12 * n)
+                   if _monodromy_is_trivial(names, c)), reverse=True)
+    expected = []
+    for counts in kept:
+        fibers = tuple(nm for nm, c in zip(names, counts) for _ in range(c))
+        documented = _documented_choices(n, fibers) is not None
+        expected.append(FibrationSpec(n, fibers, PAPER_VERIFIED if documented else ASSUMED_REALIZABLE))
+    assert list(enumerate_specs(n, extended=True)) == expected
 
 
 def test_enumerate_specs_rejects_extended_without_flag():
@@ -321,7 +362,6 @@ def test_conjecture_check():
         best_square=-120,
         spec=reference_decomposition(2),
         plan=BlowupPlan(),
-        trace=[],
         ratio=Fraction(-120, 22),
         provenance=ASSUMED_REALIZABLE,
     )
@@ -374,6 +414,26 @@ def test_search_results_deterministic_across_calls():
     assert first == second
 
 
+def test_branch_and_bound_node_count_over_the_guard_grid(monkeypatch):
+    # a weaker bound (or a prune that tests ">" for ">=") still finds every
+    # optimum, so only the walk's size shows it
+    calls = {"nodes": 0, "leaves": 0}
+    iter_counts = search._iter_counts
+
+    def counting(eulers, total, prune=None):
+        def counted(pos, remaining, counts):
+            calls["nodes"] += 1
+            calls["leaves"] += pos == len(eulers)
+            return prune(pos, remaining, counts)
+        return iter_counts(eulers, total, None if prune is None else counted)
+
+    monkeypatch.setattr(search, "_iter_counts", counting)
+    for n in range(2, 31):
+        for k in range(51):
+            best_sphere(n, k)
+    assert calls == {"nodes": 37704, "leaves": 1506}
+
+
 def test_enumerate_specs_validates_the_reference_once(monkeypatch):
     monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
     calls = []
@@ -419,8 +479,9 @@ def test_equal_plans_hash_equal_and_work_as_set_members():
 def test_search_result_stays_unhashable_and_graph_is_not_compared():
     result = best_sphere(6, 3)
     assert checked_square(result.graph) == result.best_square
-    assert result.graph.trace == result.trace
+    assert result.trace is result.graph.trace
     with pytest.raises(TypeError):
         hash(result)
     assert dataclasses.replace(result, graph=None) == result
+    assert dataclasses.replace(result, graph=None).trace == []
     assert "graph" not in result.to_json_dict()
