@@ -174,16 +174,15 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     and replacements.
     """
     validate(spec)
-    resolutions = dict(resolutions or {})
-    for i, choice in resolutions.items():
-        fiber_option(spec, i, choice)
+    # every resolution is checked before the first fragment is placed
+    chosen = {i: fiber_option(spec, i, choice) for i, choice in (resolutions or {}).items()}
 
     graph = PlumbingGraph([-spec.n], labels=["section"],
                           trace=[{"op": "section", "n": spec.n, "vertex": 0}])
     blowups = 0
 
     for i, name in enumerate(spec.fibers):
-        option = fiber_option(spec, i, resolutions.get(i))
+        option = chosen.get(i) or fiber_option(spec, i)
         fragment = option.fragment
         if fragment is None:
             continue

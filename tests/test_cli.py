@@ -1,8 +1,11 @@
 import argparse
+import gc
 import json
+import math
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from negsphere import cli, fibration, verify
 from negsphere import search as search_module
@@ -235,6 +238,60 @@ def test_catalog_json_and_dot(tmp_path, capsys):
     assert "E8t_0" in text and "II_cusp_0" in text
 
 
+# -- the --json writer ----------------------------------------------------------
+
+_NUMBERS = (st.booleans() | st.integers() | st.integers(2**64, 2**200) | st.floats()
+            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e16]))
+# every code point: non-BMP, control characters and lone surrogates included
+_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none() | _NUMBERS | _TEXT,
+    lambda children: (
+        st.lists(children) | st.lists(children).map(tuple)
+        | st.dictionaries(_TEXT, children) | st.dictionaries(_NUMBERS, children)
+        | st.dictionaries(st.none() | _NUMBERS | _TEXT, children, max_size=3)  # mixed keys
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_VALUES)
+@example({"a": {}, "b": [], "c": (), "d": "\ud800\U0001f600\x00", "e": 2**70})
+@example({1: "int", 2.5: "float", True: "bool", -math.inf: "inf", math.nan: "nan"})
+@example({None: None})
+def test_indented_writer_matches_the_stdlib(value):
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except TypeError:  # keys that cannot be sorted together
+        with pytest.raises(TypeError):
+            cli._indented(value)
+    else:
+        assert cli._indented(value) == expected
+
+
+def test_indented_writer_leaves_no_garbage_cycles():
+    # a writer that recursed through a closure would leave a cycle per call,
+    # holding its pieces until the cyclic collector ran
+    payload = {"trace": [{"op": "section", "vertices": [0, 1]}] * 50, "graph": {"edges": [[0, 1]]}}
+    gc.collect()
+    gc.disable()
+    try:
+        cli._indented(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_indented_writer_rejects_what_the_stdlib_rejects():
+    for value in ({(1, 2): 0}, {"a": object()}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError) as ours:
+            cli._indented(value)
+        with pytest.raises(TypeError) as stdlib:
+            json.dumps(value, indent=2, sort_keys=True)
+        assert str(ours.value) == str(stdlib.value)
+
+
 def test_search_guard_exit_code(capsys):
     code, _, err = run(capsys, "search", "40", "0")
     assert code == 2
@@ -445,6 +502,15 @@ def test_verify_paper_builds_each_reference_tree_once(capsys, monkeypatch):
     # n = 2..20 once each for the s-table and closed-form items, plus the guarantees
     assert sorted(set(calls)) == list(range(2, 21))
     assert len(calls) <= 22
+
+
+def test_verify_paper_searches_each_pair_once(capsys, monkeypatch):
+    calls = []
+    search = search_module.best_sphere
+    monkeypatch.setattr(verify, "best_sphere", lambda n, k: calls.append((n, k)) or search(n, k))
+    code, out, _ = run(capsys, "verify-paper")
+    assert code == 0 and "(21/21)" in out
+    assert sorted(calls) == [(2, 0), (2, 1), (6, 1), (6, 3)]
 
 
 # -- one parser per process ---------------------------------------------------

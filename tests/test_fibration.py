@@ -261,6 +261,17 @@ def test_build_rejects_resolution_index_past_last_fiber():
         build_tree(reference_decomposition(2), resolutions={3: "skip"})
 
 
+@pytest.mark.parametrize("resolutions, message", [
+    ({9: "skip", 2: "replace"}, "fiber index 9 out of range"),
+    ({2: "replace", 9: "skip"}, "applies only to II_cusp"),
+    # a bad choice is reported before a fiber that lacks one (fiber 2 is IV)
+    ({0: "resolve"}, "fiber 0 .* does not take a resolution choice"),
+])
+def test_build_reports_the_first_bad_resolution_in_plan_order(resolutions, message):
+    with pytest.raises(ValidationError, match=message):
+        build_tree(spec_of(2, "E8t", "E8t", "IV"), resolutions=resolutions)
+
+
 def test_construction_square_is_oracle_checked(monkeypatch):
     # a smoothing that is off by one must not reach a reported square
     smooth = PlumbingGraph.smooth

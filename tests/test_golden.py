@@ -82,7 +82,8 @@ def corpus() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for argv in (("conjecture", "--json"), ("catalog", "--json", "--dot"),
-                     ("verify-paper", "--json")):
+                     ("verify-paper", "--json"), ("search", "30", "50", "--json", "--dot"),
+                     ("formula", "30", "--json")):
             entries[" ".join(argv)] = _cli_digest(workdir, *argv)
         found = best_sphere(6, 3).to_json_dict()
         (workdir / "spec.json").write_text(json.dumps(found["spec"]))
