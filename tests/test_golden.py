@@ -7,6 +7,9 @@ must leave this file alone.  To regenerate it after a deliberate change of
 output, run from the repository root:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites the file and prints, one a line, each entry it added, removed
+or changed compared with the file as it was, for the change's notes.
 """
 
 from __future__ import annotations
@@ -91,6 +94,9 @@ def corpus() -> dict[str, str]:
         entries["build --json --dot (search 6 3 winner)"] = _cli_digest(
             workdir, "build", str(workdir / "spec.json"), "--plan", str(workdir / "plan.json"),
             "--json", "--dot")
+        # human-readable output: adjusted gains, running totals, check details
+        for argv in (("catalog",), ("search", "6", "3"), ("verify-paper",)):
+            entries[" ".join(argv)] = _cli_digest(workdir, *argv)
     return entries
 
 
@@ -111,6 +117,14 @@ def test_outputs_match_the_golden_corpus():
 
 
 if __name__ == "__main__":
-    lines = [f"{digest}  {name}" for name, digest in corpus().items()]
-    GOLDEN.write_text("\n".join(lines) + "\n")
-    print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)
+    before = _read_golden() if GOLDEN.exists() else {}
+    now = corpus()
+    GOLDEN.write_text("".join(f"{digest}  {name}\n" for name, digest in now.items()))
+    print(f"wrote {len(now)} digests to {GOLDEN}", file=sys.stderr)
+    for name in [*now, *(name for name in before if name not in now)]:
+        if name not in now:
+            print(f"removed: {name}", file=sys.stderr)
+        elif name not in before:
+            print(f"added: {name}", file=sys.stderr)
+        elif before[name] != now[name]:
+            print(f"changed: {name}", file=sys.stderr)
