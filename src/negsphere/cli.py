@@ -372,7 +372,8 @@ def _cmd_catalog(args) -> int:
     if args.dot:
         first = [(entry.name, entry.options[0].fragment) for entry in catalog()]
         _write_dot(args.dot, dot_graph("fiber_fragments", [
-            (f"{name}_", frag.weights, frag.edges, ()) for name, frag in first if frag is not None
+            (f"{name}_", frag.graph.weights, frag.graph.edges, ())
+            for name, frag in first if frag is not None
         ]))
     if args.json:
         _print_json(catalog_json())

@@ -11,46 +11,30 @@ accounting only: a nodal sphere is not embedded, so it is always skipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .plumbing import PlumbingGraph, dot_graph
+from .plumbing import PlumbingGraph
 from .sl2z import normalize_word
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PlumbingFragment:
     """A connected tree of spheres, plus the vertex where a section attaches.
 
-    Vertices are indexed 0..V-1; ``weights[i]`` is the self-intersection of
-    sphere i and every genus is 0.  ``attachment`` designates the vertex a
-    section of the ambient fibration meets (one transverse point).
+    ``graph`` is the checked tree (every genus is 0); ``attachment`` is the
+    vertex a section of the ambient fibration meets in one transverse
+    point.  Catalog graphs are shared by every caller: read them, never
+    edit them.  Equality is identity, since a graph is not hashable.
     """
 
-    weights: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
+    graph: PlumbingGraph
     attachment: int
-    labels: tuple[str, ...] = ()
-    # the checked tree, kept for build_tree's PlumbingGraph.add_tree
-    _graph: PlumbingGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # raises PlumbingError (a ValueError) on misaligned labels, a
-        # self-loop, an edge out of range or a duplicate edge
-        graph = PlumbingGraph(self.weights, self.edges, self.labels or None)
-        if not graph.is_tree():
+        if not self.graph.is_tree():
             raise ValueError("fragment is not a connected tree")
-        object.__setattr__(self, "labels", tuple(graph.labels))
-        object.__setattr__(self, "_graph", graph)
-        if not 0 <= self.attachment < len(self.weights):
+        if not 0 <= self.attachment < self.graph.vertex_count:
             raise ValueError("attachment vertex out of range")
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.weights)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def euler_characteristic(self) -> int:
         """Euler characteristic of the configuration: 2V - E.
@@ -58,20 +42,17 @@ class PlumbingFragment:
         Each sphere contributes 2; each normal crossing identifies one
         point of two spheres and removes 1.
         """
-        return 2 * self.vertex_count - self.edge_count
+        return 2 * self.graph.vertex_count - self.graph.edge_count
 
     def to_json_dict(self) -> dict:
         return {
             "vertices": [
                 {"label": lab, "weight": w, "genus": 0}
-                for lab, w in zip(self.labels, self.weights)
+                for lab, w in zip(self.graph.labels, self.graph.weights)
             ],
-            "edges": [list(e) for e in self.edges],
+            "edges": [list(e) for e in self.graph.edges],
             "attachment": self.attachment,
         }
-
-    def to_dot(self, name: str = "fragment") -> str:
-        return dot_graph(name, [("v", self.weights, self.edges, ())])
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,11 +66,11 @@ class FiberOption:
 
     @property
     def contribution(self) -> int:
-        """Change of the smoothed square when attached: weights, internal
-        edges, plus the one section edge."""
+        """Change of the smoothed square when attached: the fragment's own
+        smoothed square, plus the one section edge."""
         if self.fragment is None:
             return 0
-        return sum(self.fragment.weights) - 2 * self.fragment.edge_count - 2
+        return self.fragment.graph.smooth() - 2
 
     @property
     def adjusted_gain(self) -> int:
@@ -144,59 +125,50 @@ class FiberType:
 def _dynkin_affine_e8() -> PlumbingFragment:
     # trivalent center 0; arms of length 1 (v1), 2 (v2-v3), 5 (v4..v8)
     edges = ((0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6), (6, 7), (7, 8))
-    return PlumbingFragment(weights=(-2,) * 9, edges=edges, attachment=8)
+    return PlumbingFragment(PlumbingGraph([-2] * 9, edges), attachment=8)
 
 
 def _dynkin_affine_e7() -> PlumbingFragment:
     # center 0; short leaf v1; two arms of length 3 (v2..v4 and v5..v7)
     edges = ((0, 1), (0, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 7))
-    return PlumbingFragment(weights=(-2,) * 8, edges=edges, attachment=4)
+    return PlumbingFragment(PlumbingGraph([-2] * 8, edges), attachment=4)
 
 
 def _dynkin_affine_e6() -> PlumbingFragment:
     # center 0; three arms of length 2
     edges = ((0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6))
-    return PlumbingFragment(weights=(-2,) * 7, edges=edges, attachment=2)
+    return PlumbingFragment(PlumbingGraph([-2] * 7, edges), attachment=2)
 
 
 def _dynkin_affine_d4() -> PlumbingFragment:
     # center 0 with four leaves
     edges = ((0, 1), (0, 2), (0, 3), (0, 4))
-    return PlumbingFragment(weights=(-2,) * 5, edges=edges, attachment=1)
+    return PlumbingFragment(PlumbingGraph([-2] * 5, edges), attachment=1)
 
 
 def _resolved_cusp() -> FiberOption:
     # three blow-ups at the cusp point: the fiber becomes a (-6)-sphere
     # meeting a (-1)-sphere which also meets a (-2)- and a (-3)-sphere;
     # the section still meets the (-6) proper transform of the fiber
-    fragment = PlumbingFragment(
-        weights=(-6, -1, -2, -3),
-        edges=((0, 1), (1, 2), (1, 3)),
-        attachment=0,
-        labels=("fiber", "e3", "e1", "e2"),
-    )
+    graph = PlumbingGraph([-6, -1, -2, -3], [(0, 1), (1, 2), (1, 3)],
+                          labels=["fiber", "e3", "e1", "e2"])
+    fragment = PlumbingFragment(graph, attachment=0)
     return FiberOption("resolve", fragment, blowups=3)
 
 
 def _resolved_iii() -> FiberOption:
     # two blow-ups at the tangency: a central (-1)-sphere met by two
     # (-4)-spheres and a (-2)-sphere
-    fragment = PlumbingFragment(
-        weights=(-1, -4, -4, -2),
-        edges=((0, 1), (0, 2), (0, 3)),
-        attachment=1,
-    )
+    fragment = PlumbingFragment(PlumbingGraph([-1, -4, -4, -2], [(0, 1), (0, 2), (0, 3)]),
+                                attachment=1)
     return FiberOption("resolve", fragment, blowups=2)
 
 
 def _resolved_iv() -> FiberOption:
     # one blow-up at the triple point: a central (-1)-sphere met by three
     # (-3)-spheres
-    fragment = PlumbingFragment(
-        weights=(-1, -3, -3, -3),
-        edges=((0, 1), (0, 2), (0, 3)),
-        attachment=1,
-    )
+    fragment = PlumbingFragment(PlumbingGraph([-1, -3, -3, -3], [(0, 1), (0, 2), (0, 3)]),
+                                attachment=1)
     return FiberOption("resolve", fragment, blowups=1)
 
 
@@ -204,7 +176,7 @@ def _cusp_replacement() -> FiberOption:
     # swap the cusp fiber for the complement of a cuspidal cubic: gluing the
     # two cone-on-trefoil neighbourhoods with reversed orientation costs one
     # blow-up and leaves a single (-9)-sphere meeting the section once
-    fragment = PlumbingFragment(weights=(-9,), edges=(), attachment=0)
+    fragment = PlumbingFragment(PlumbingGraph([-9]), attachment=0)
     return FiberOption("replace", fragment, blowups=1)
 
 

@@ -187,7 +187,8 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
         if fragment is None:
             continue
 
-        offset = graph.add_tree(fragment._graph, [f"{name}[{i}].{lab}" for lab in fragment.labels])
+        tree = fragment.graph
+        offset = graph.add_tree(tree, [f"{name}[{i}].{lab}" for lab in tree.labels])
         graph.add_edge(0, offset + fragment.attachment)
         graph.trace.append(
             {

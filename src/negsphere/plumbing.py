@@ -330,14 +330,14 @@ class PlumbingGraph:
             if not isinstance(item, dict):
                 raise PlumbingError(f"vertex {i} must be a JSON object, got {type(item).__name__}")
             w, g, flag = item.get("weight"), item.get("genus", 0), item.get("exceptional", False)
-            label = item.get("label", "")
+            label = item.get("label", f"v{i}")
             if not (_is_json_int(w) and _is_json_int(g) and g == 0 and type(flag) is bool
                     and isinstance(label, str)):
                 raise PlumbingError(f"vertex {i} needs an integer weight, genus 0 (every vertex is "
                                     f"a sphere), a boolean 'exceptional' and a string label, "
                                     f"got {item!r}")
             weights.append(w)
-            labels.append(label or f"v{i}")
+            labels.append(label)
             flags.append(flag)
         for edge in _json_list(data, "edges"):
             if not (isinstance(edge, list) and len(edge) == 2):

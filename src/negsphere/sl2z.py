@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .plumbing import _is_json_int
+
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
@@ -50,7 +52,10 @@ class GroupElement:
 
     @classmethod
     def from_lists(cls, rows) -> "GroupElement":
+        """The matrix ``to_lists`` wrote; an entry is an int or an integral float."""
         (m11, m12), (m21, m22) = rows
+        if not all(map(_is_json_int, (m11, m12, m21, m22))):
+            raise ValueError(f"matrix entries must be integers, got {rows!r}")
         return cls(int(m11), int(m12), int(m21), int(m22))
 
 

@@ -57,7 +57,7 @@ def _check_catalog():
             if option.choice == "use":
                 if option.fragment.euler_characteristic() != entry.euler:
                     problems.append(f"{entry.name}: fragment chi != euler")
-                if any(w != -2 for w in option.fragment.weights):
+                if any(w != -2 for w in option.fragment.graph.weights):
                     problems.append(f"{entry.name}: fragment weight != -2")
             elif option.choice == "resolve":
                 chi = option.fragment.euler_characteristic()
@@ -77,21 +77,21 @@ def _check_resolutions():
     ok = True
     for name, (blowups, weights) in expected.items():
         option = fiber(name).option("resolve")
-        fragment, used = option.fragment, option.blowups
+        graph, used = option.fragment.graph, option.blowups
         good = (
             used == blowups
-            and sorted(fragment.weights) == sorted(weights)
-            and fragment.edge_count == 3
+            and sorted(graph.weights) == sorted(weights)
+            and graph.edge_count == 3
         )
         ok = ok and good
-        details.append(f"{name}: {used} blow-ups, weights {list(fragment.weights)}")
+        details.append(f"{name}: {used} blow-ups, weights {graph.weights}")
     return ok, "; ".join(details)
 
 
 def _check_cusp_replacement():
     option = fiber("II_cusp").option("replace")
-    ok = option.fragment.weights == (-9,) and option.blowups == 1
-    return ok, f"single sphere {option.fragment.weights[0]}, {option.blowups} blow-up"
+    ok = option.fragment.graph.weights == [-9] and option.blowups == 1
+    return ok, f"single sphere {option.fragment.graph.weights[0]}, {option.blowups} blow-up"
 
 
 def _check_s_table(square):

@@ -220,8 +220,8 @@ def test_criterion_8_catalog_consistency():
             option = fiber(name).option("resolve")
             fragment, used = option.fragment, option.blowups
             assert used == blowups
-            assert sorted(fragment.weights) == weights
-            assert fragment.edge_count == 3
+            assert sorted(fragment.graph.weights) == weights
+            assert fragment.graph.edge_count == 3
 
     runtime = _best_of_runs(consistency)
     ok = runtime < 1e-3

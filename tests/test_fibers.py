@@ -9,6 +9,7 @@ from negsphere.fibers import (
     catalog_json,
     fiber,
 )
+from negsphere.plumbing import PlumbingGraph
 from negsphere.search import DEFAULT_FIBERS, EXTENDED_ONLY_FIBERS
 
 EXPECTED_WORDS = {
@@ -48,17 +49,17 @@ def test_fragment_and_resolution_presence():
 @pytest.mark.parametrize("name,vertices", [("E8t", 9), ("E7t", 8), ("E6t", 7), ("I0star", 5)])
 def test_fragment_shapes(name, vertices):
     fragment = fiber(name).option("use").fragment
-    assert fragment.vertex_count == vertices
-    assert fragment.edge_count == vertices - 1
-    assert all(w == -2 for w in fragment.weights)
+    assert fragment.graph.vertex_count == vertices
+    assert fragment.graph.edge_count == vertices - 1
+    assert all(w == -2 for w in fragment.graph.weights)
     # the fragment Euler characteristic 2V - E equals the fiber's Euler number
     assert fragment.euler_characteristic() == fiber(name).euler
 
 
 def test_i0star_is_a_star():
     fragment = fiber("I0star").option("use").fragment
-    degrees = [0] * fragment.vertex_count
-    for u, v in fragment.edges:
+    degrees = [0] * fragment.graph.vertex_count
+    for u, v in fragment.graph.edges:
         degrees[u] += 1
         degrees[v] += 1
     assert sorted(degrees) == [1, 1, 1, 1, 4]
@@ -67,7 +68,7 @@ def test_i0star_is_a_star():
 def test_attachment_is_a_leaf():
     for option in (o for entry in catalog() for o in entry.options if o.choice == "use"):
         fragment = option.fragment
-        degree = sum(1 for e in fragment.edges if fragment.attachment in e)
+        degree = sum(1 for e in fragment.graph.edges if fragment.attachment in e)
         assert degree == 1
 
 
@@ -75,38 +76,38 @@ def test_resolve_cusp():
     option = fiber("II_cusp").option("resolve")
     fragment, blowups = option.fragment, option.blowups
     assert blowups == 3
-    assert sorted(fragment.weights) == [-6, -3, -2, -1]
-    assert fragment.edge_count == 3
+    assert sorted(fragment.graph.weights) == [-6, -3, -2, -1]
+    assert fragment.graph.edge_count == 3
     # the (-1)-sphere meets the other three
-    minus_one = fragment.weights.index(-1)
+    minus_one = fragment.graph.weights.index(-1)
     neighbors = sorted(
-        fragment.weights[u if v == minus_one else v]
-        for u, v in fragment.edges
+        fragment.graph.weights[u if v == minus_one else v]
+        for u, v in fragment.graph.edges
         if minus_one in (u, v)
     )
     assert neighbors == [-6, -3, -2]
     # the section still meets the proper transform of the fiber
-    assert fragment.weights[fragment.attachment] == -6
+    assert fragment.graph.weights[fragment.attachment] == -6
 
 
 def test_resolve_iii():
     option = fiber("III").option("resolve")
     fragment, blowups = option.fragment, option.blowups
     assert blowups == 2
-    assert sorted(fragment.weights) == [-4, -4, -2, -1]
-    center = fragment.weights.index(-1)
-    assert all(center in e for e in fragment.edges)
-    assert fragment.weights[fragment.attachment] == -4
+    assert sorted(fragment.graph.weights) == [-4, -4, -2, -1]
+    center = fragment.graph.weights.index(-1)
+    assert all(center in e for e in fragment.graph.edges)
+    assert fragment.graph.weights[fragment.attachment] == -4
 
 
 def test_resolve_iv():
     option = fiber("IV").option("resolve")
     fragment, blowups = option.fragment, option.blowups
     assert blowups == 1
-    assert sorted(fragment.weights) == [-3, -3, -3, -1]
-    center = fragment.weights.index(-1)
-    assert all(center in e for e in fragment.edges)
-    assert fragment.weights[fragment.attachment] == -3
+    assert sorted(fragment.graph.weights) == [-3, -3, -3, -1]
+    center = fragment.graph.weights.index(-1)
+    assert all(center in e for e in fragment.graph.edges)
+    assert fragment.graph.weights[fragment.attachment] == -3
 
 
 def test_resolved_euler_characteristics():
@@ -126,11 +127,11 @@ def test_resolve_rejects_other_types():
 def test_cusp_replacement():
     option = fiber("II_cusp").option("replace")
     fragment, blowups = option.fragment, option.blowups
-    assert fragment.weights == (-9,)
-    assert fragment.edge_count == 0
+    assert fragment.graph.weights == [-9]
+    assert fragment.graph.edge_count == 0
     assert blowups == 1
     # attached through one section edge it contributes -9 - 2 = -11
-    assert sum(fragment.weights) - 2 * fragment.edge_count - 2 == -11
+    assert sum(fragment.graph.weights) - 2 * fragment.graph.edge_count - 2 == -11
 
 
 def test_unknown_fiber_name():
@@ -178,7 +179,7 @@ def test_catalog_json_legacy_keys_repeat_the_use_and_resolve_options():
 
 
 def test_fragment_dot_output():
-    text = fiber("I0star").option("use").fragment.to_dot("d4")
+    text = fiber("I0star").option("use").fragment.graph.to_dot("d4")
     assert text.startswith("graph d4 {")
     assert '[label="-2"]' in text
     assert "--" in text
@@ -215,7 +216,7 @@ def test_option_adjusted_gains():
 )
 def test_fragment_rejects_malformed_shapes(weights, edges, attachment):
     with pytest.raises(ValueError):
-        PlumbingFragment(weights=weights, edges=edges, attachment=attachment)
+        PlumbingFragment(PlumbingGraph(weights, edges), attachment=attachment)
 
 
 def test_catalog_json_lists_options_in_tie_break_order():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from negsphere import fibration
+from negsphere.cli import main
 from negsphere.fibers import catalog, fiber
 from negsphere.fibration import (
     FibrationSpec,
@@ -18,7 +19,7 @@ from negsphere.fibration import (
     validate,
 )
 from negsphere.plumbing import PlumbingGraph, oracle_square
-from negsphere.search import WORKED_EXAMPLES
+from negsphere.search import WORKED_EXAMPLES, best_sphere
 
 
 def spec_of(n, *names):
@@ -196,10 +197,24 @@ def test_attachment_vertex_independence():
             if frag is None:
                 continue
             values = set()
-            for vertex in range(frag.vertex_count):
-                edges = [(u + 1, v + 1) for u, v in frag.edges] + [(0, vertex + 1)]
-                values.add(PlumbingGraph.from_weights((-2,) + frag.weights, edges).smooth())
+            for vertex in range(frag.graph.vertex_count):
+                edges = [(u + 1, v + 1) for u, v in frag.graph.edges] + [(0, vertex + 1)]
+                values.add(PlumbingGraph.from_weights([-2] + frag.graph.weights, edges).smooth())
             assert values == {-2 + option.contribution}, (entry.name, option.choice)
+
+
+def test_catalog_graphs_are_never_edited(tmp_path, capsys):
+    # every tree, search and catalog print shares the catalog's graphs
+    graphs = [option.fragment.graph for entry in catalog() for option in entry.options
+              if option.fragment is not None]
+    before = [repr(graph) for graph in graphs]
+    for row in WORKED_EXAMPLES:
+        spec = reference_decomposition(row.n) if row.fibers is None else spec_of(row.n, *row.fibers)
+        build_tree(spec, row.choices)
+    for n, k in ((2, 1), (6, 3), (30, 50)):
+        best_sphere(n, k)
+    assert main(["catalog", "--json", "--dot", str(tmp_path / "catalog.dot")]) == 0
+    assert [repr(graph) for graph in graphs] == before
 
 
 def test_validity_is_order_independent_for_ab_powers():
@@ -291,9 +306,9 @@ def _assembled(spec, resolutions):
         if fragment is None:
             continue
         offset = len(weights)
-        weights += fragment.weights
-        labels += [f"{name}[{i}].{lab}" for lab in fragment.labels]
-        edges += [(offset + u, offset + v) for u, v in fragment.edges]
+        weights += fragment.graph.weights
+        labels += [f"{name}[{i}].{lab}" for lab in fragment.graph.labels]
+        edges += [(offset + u, offset + v) for u, v in fragment.graph.edges]
         edges.append((0, offset + fragment.attachment))
         trace.append({
             "op": "attach_fiber", "fiber": i, "name": name,

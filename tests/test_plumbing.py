@@ -106,8 +106,8 @@ def test_smooth_k3_tree():
     for name in ("E8t", "E6t", "I0star"):
         fragment = fiber(name).option("use").fragment
         offset = len(weights)
-        weights += fragment.weights
-        edges += [(offset + u, offset + v) for u, v in fragment.edges]
+        weights += fragment.graph.weights
+        edges += [(offset + u, offset + v) for u, v in fragment.graph.edges]
         edges.append((0, offset + fragment.attachment))
     g = PlumbingGraph(weights, edges)
     assert g.vertex_count == 22
@@ -220,13 +220,16 @@ def test_two_rewrites_write_this_json():
 
 
 def test_json_round_trip():
-    g = chain(-2, -3, -4).blow_up_edge((0, 1))
-    data = json.loads(json.dumps(g.to_json_dict()))
-    back = PlumbingGraph.from_json_dict(data)
-    assert back.weights == g.weights
-    assert back.edges == g.edges
-    assert back.trace == g.trace
-    assert back.exceptional == g.exceptional
+    # the second graph's empty label must come back empty, not as "v0"
+    for g in (chain(-2, -3, -4).blow_up_edge((0, 1)),
+              PlumbingGraph([-2, -3], [(0, 1)], labels=["", "b"])):
+        data = json.loads(json.dumps(g.to_json_dict()))
+        back = PlumbingGraph.from_json_dict(data)
+        assert back.weights == g.weights
+        assert back.edges == g.edges
+        assert back.trace == g.trace
+        assert back.exceptional == g.exceptional
+        assert back == g
 
 
 @pytest.mark.parametrize("data, message", [

@@ -132,6 +132,12 @@ def test_overflow_rejected_on_compose():
 def test_serialization_round_trip():
     g = word_to_matrix("abab")
     assert GroupElement.from_lists(g.to_lists()) == g
+    # entries are read as JSON integers: an integral float is one, but a
+    # bool, a fraction or a numeric string is not
+    assert GroupElement.from_lists([[1.0, 0], [0, 1.0]]) == IDENTITY
+    for bad in (1.9, True, "1"):
+        with pytest.raises(ValueError, match="matrix entries must be integers"):
+            GroupElement.from_lists([[bad, 0], [0, 1]])
 
 
 def test_word_to_matrix_matches_a_compose_fold():
