@@ -10,20 +10,16 @@ fiber's fragment at its attachment vertex.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import sl2z
 from .fibers import FiberOption, catalog, fiber
-from .plumbing import PlumbingGraph, _is_json_int, checked_square
+from .inputs import ValidationError, as_int, as_nk, json_object
+from .plumbing import PlumbingGraph, checked_square
 
 PAPER_VERIFIED = "paper_verified"
 ASSUMED_REALIZABLE = "assumed_realizable"
-
-
-class ValidationError(ValueError):
-    """A fibration spec violates an invariant."""
 
 
 # per name: Euler number, monodromy word and canonical rank, read straight
@@ -43,6 +39,8 @@ class FibrationSpec:
     provenance: str = ASSUMED_REALIZABLE
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:
+            object.__setattr__(self, "n", as_int(self.n, "spec 'n'"))
         object.__setattr__(self, "fibers", tuple(self.fibers))
         if not _NAMES.issuperset(self.fibers):
             for name in self.fibers:
@@ -66,45 +64,19 @@ class FibrationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationSpec":
-        _json_object(data, "spec")
+        json_object(data, "spec")
         for key in ("n", "fibers"):
             if key not in data:
                 raise ValidationError(f"spec has no {key!r} entry")
         fibers = data["fibers"]
         if not isinstance(fibers, list) or not all(isinstance(nm, str) for nm in fibers):
             raise ValidationError(f"spec 'fibers' must be a list of fiber names, got {fibers!r}")
-        return cls(
-            n=_json_int(data["n"], "spec 'n'"),
-            fibers=tuple(fibers),
-            provenance=str(data.get("provenance", ASSUMED_REALIZABLE)),
-        )
-
-
-def _json_object(data, what: str) -> dict:
-    """``data`` itself if it is a JSON object, else a ValidationError."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
-    return data
-
-
-def _json_int(value, what: str) -> int:
-    """An integer read from a JSON number, by the rule ``_is_json_int`` states."""
-    if _is_json_int(value):
-        return int(value)
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
-
-
-def _json_key_int(key, what: str) -> int:
-    """An integer read from a JSON object key: plain decimals, maybe negative."""
-    if isinstance(key, str) and re.fullmatch(r"-?[0-9]+", key):
-        return int(key)
-    raise ValidationError(f"{what} must be an integer, got {key!r}")
+        return cls(data["n"], fibers, str(data.get("provenance", ASSUMED_REALIZABLE)))
 
 
 def validate(spec: FibrationSpec) -> None:
     """Check the two fibration invariants; raise ValidationError naming the failure."""
-    if spec.n < 2:
-        raise ValidationError(f"n must be at least 2, got {spec.n}")
+    as_nk(spec.n)
     total = spec.euler_sum()
     if total != 12 * spec.n:
         raise ValidationError(f"euler sum {total} != {12 * spec.n}")
@@ -134,10 +106,9 @@ def reference_decomposition(n: int) -> FibrationSpec:
     Memoised per n: the 12n-letter monodromy word is validated once per
     process and every later call returns the same frozen spec.
     """
+    n, _ = as_nk(n)
     spec = _REFERENCE_SPECS.get(n)
     if spec is None:
-        if n < 2:
-            raise ValidationError(f"n must be at least 2, got {n}")
         k, r = divmod(n, 5)
         fibers = ("E8t",) * (6 * k) + _RESIDUE_FIBERS[r]
         spec = FibrationSpec(n=n, fibers=fibers, provenance=PAPER_VERIFIED)
@@ -149,6 +120,7 @@ def reference_decomposition(n: int) -> FibrationSpec:
 def fiber_option(spec: FibrationSpec, i: int, choice: str | None = None) -> FiberOption:
     """The catalog option ``choice`` names for fiber ``i`` of ``spec``
     (None names the fiber type's default)."""
+    i = i if type(i) is int else as_int(i, "fiber index")
     if not 0 <= i < len(spec.fibers):
         raise ValidationError(f"fiber index {i} out of range for {len(spec.fibers)} fibers")
     name = spec.fibers[i]
@@ -220,8 +192,7 @@ def closed_form_square(n: int) -> Fraction:
     exactly +4 when n is divisible by 5 (the residual term does not vanish
     there); elsewhere the two agree.
     """
-    if n < 2:
-        raise ValidationError(f"n must be at least 2, got {n}")
+    n, _ = as_nk(n)
     r = n % 5
     return Fraction(-221 * n, 5) + Fraction(4 * (5 - r), 5)
 
@@ -238,8 +209,5 @@ class AmbientSurface:
 
 def betti(n: int, k: int = 0) -> AmbientSurface:
     """Second Betti numbers of E(n) # k CP2bar: b2 = 12n - 2 + k, b2+ = 2n - 1."""
-    if n < 2:
-        raise ValidationError(f"n must be at least 2 (b2+ > 1 required), got {n}")
-    if k < 0:
-        raise ValidationError(f"blow-up count must be >= 0, got {k}")
+    n, k = as_nk(n, k)
     return AmbientSurface(n=n, k=k, b2=12 * n - 2 + k, b2plus=2 * n - 1)

@@ -30,6 +30,8 @@ edits never reach across a rewrite.
 
 from __future__ import annotations
 
+from .inputs import as_int, is_int
+
 
 class PlumbingError(ValueError):
     """A plumbing operation was applied outside its domain."""
@@ -37,11 +39,6 @@ class PlumbingError(ValueError):
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
-
-
-def _is_json_int(value) -> bool:
-    """An integer JSON number: an int or an integral float, never a bool or a string."""
-    return type(value) is int or (type(value) is float and value.is_integer())
 
 
 def _json_list(data: dict, key: str) -> list:
@@ -69,9 +66,10 @@ class PlumbingGraph:
     # -- construction ------------------------------------------------------
 
     def __init__(self, weights=(), edges=(), labels=None, exceptional=None, trace=()) -> None:
-        """Weights go through ``int`` and each edge through ``add_edge``;
-        labels default to v0, v1, ... and exceptional flags to False."""
-        self.weights = [int(w) for w in weights]
+        """Weights follow the package's integer rule and each edge goes through
+        ``add_edge``; labels default to v0, v1, ... and exceptional flags to False."""
+        self.weights = [w if type(w) is int else as_int(w, "a weight", PlumbingError)
+                        for w in weights]
         n = len(self.weights)
         self._labels = list(labels) if labels is not None else [f"v{i}" for i in range(n)]
         self._exceptional = list(exceptional) if exceptional is not None else [False] * n
@@ -331,7 +329,7 @@ class PlumbingGraph:
                 raise PlumbingError(f"vertex {i} must be a JSON object, got {type(item).__name__}")
             w, g, flag = item.get("weight"), item.get("genus", 0), item.get("exceptional", False)
             label = item.get("label", f"v{i}")
-            if not (_is_json_int(w) and _is_json_int(g) and g == 0 and type(flag) is bool
+            if not (is_int(w) and is_int(g) and g == 0 and type(flag) is bool
                     and isinstance(label, str)):
                 raise PlumbingError(f"vertex {i} needs an integer weight, genus 0 (every vertex is "
                                     f"a sphere), a boolean 'exceptional' and a string label, "
@@ -343,7 +341,7 @@ class PlumbingGraph:
             if not (isinstance(edge, list) and len(edge) == 2):
                 raise PlumbingError(f"an edge must be a list of two ends, got {edge!r}")
             u, v = edge
-            if not (_is_json_int(u) and _is_json_int(v)):
+            if not (is_int(u) and is_int(v)):
                 raise PlumbingError(f"edge ends must be integers, got {[u, v]!r}")
             edges.append((int(u), int(v)))
         trace = _json_list(data, "trace")

@@ -33,15 +33,13 @@ from .fibration import (
     PAPER_VERIFIED,
     FibrationSpec,
     ValidationError,
-    _json_int,
-    _json_key_int,
-    _json_object,
     betti,
     build_tree,
     construction_square,
     fiber_option,
     reference_decomposition,
 )
+from .inputs import as_int, as_nk, json_key_int, json_object
 from .plumbing import PlumbingError, PlumbingGraph, _json_copy, checked_square
 
 #: Searched by default: the types whose words are powers of (ab), so a
@@ -82,13 +80,16 @@ class BlowupPlan:
     point_blowups: int = 0
 
     def __post_init__(self) -> None:
-        for what, count in (("edge_blowups", self.edge_blowups),
-                            ("point_blowups", self.point_blowups)):
+        for what in ("edge_blowups", "point_blowups"):
+            count = as_int(getattr(self, what), f"plan {what!r}")
             if count < 0:
                 raise ValidationError(f"{what} must be >= 0, got {count}")
-        for i in self.resolutions:
+            object.__setattr__(self, what, count)
+        resolutions = {as_int(i, "plan resolution index"): c for i, c in self.resolutions.items()}
+        for i in resolutions:
             if i < 0:
                 raise ValidationError(f"resolution fiber index must be >= 0, got {i}")
+        object.__setattr__(self, "resolutions", resolutions)
 
     def __hash__(self) -> int:
         return hash((tuple(sorted(self.resolutions.items())),
@@ -109,18 +110,14 @@ class BlowupPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlowupPlan":
-        _json_object(data, "plan")
+        json_object(data, "plan")
         resolutions: dict[int, str] = {}
-        for key, choice in _json_object(data.get("resolutions", {}), "plan 'resolutions'").items():
-            i = _json_key_int(key, "plan resolution index")
+        for key, choice in json_object(data.get("resolutions", {}), "plan 'resolutions'").items():
+            i = json_key_int(key, "plan resolution index")
             if i in resolutions:
                 raise ValidationError(f"plan resolution index {i} is given twice (as {key!r})")
             resolutions[i] = str(choice)
-        return cls(
-            resolutions=resolutions,
-            edge_blowups=_json_int(data.get("edge_blowups", 0), "plan 'edge_blowups'"),
-            point_blowups=_json_int(data.get("point_blowups", 0), "plan 'point_blowups'"),
-        )
+        return cls(resolutions, data.get("edge_blowups", 0), data.get("point_blowups", 0))
 
 
 @dataclass(frozen=True)
@@ -193,18 +190,19 @@ def _iter_counts(eulers: tuple[int, ...], total: int, prune=None):
     """All count vectors with sum(count * euler) == total, lexicographically
     by the expanded canonical fiber sequence (descending leading counts).
 
-    ``prune(pos, remaining, counts)``, when given, is asked at every node
-    (counts[:pos] placed, ``remaining`` Euler sum left) and a leaf
-    (pos == len(eulers)); a true answer skips the node's subtree.
+    ``prune(pos, remaining, counts)``, when given, is asked at every inner
+    node (counts[:pos] placed, ``remaining`` Euler sum left); a true answer
+    skips the node's subtree.  Leaves are not asked: the last type's count
+    is forced, so its parent's answer stands for the one leaf under it.
     """
     m = len(eulers)
     counts = [0] * m
 
     def walk(pos: int, remaining: int):
-        if prune is not None and prune(pos, remaining, counts):
-            return
         if pos == m:
             yield tuple(counts)
+            return
+        if prune is not None and prune(pos, remaining, counts):
             return
         e = eulers[pos]
         if pos == m - 1:
@@ -318,8 +316,7 @@ def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
     is checked and non-trivial products are dropped.  Which check applies
     and which multisets are documented is settled once per call.
     """
-    if n < 2:
-        raise ValidationError(f"n must be at least 2, got {n}")
+    n, _ = as_nk(n)
     names = _resolve_allowed(allowed, extended)
     eulers = tuple(fiber(nm).euler for nm in names)
     ab_only = AB_POWER_FIBERS.issuperset(names)
@@ -442,6 +439,7 @@ def _dfs_best(n, k, names):
 
 def check_desk_scale(n: int, k: int, max_n: int = MAX_N, max_k: int = MAX_K) -> None:
     """Raise ValueError when (n, k) exceeds the desk-scale guard."""
+    max_n, max_k = as_int(max_n, "max_n"), as_int(max_k, "max_k")
     if n > max_n or k > max_k:
         raise ValueError(
             f"(n={n}, k={k}) exceeds the desk-scale guard "
@@ -452,8 +450,7 @@ def check_desk_scale(n: int, k: int, max_n: int = MAX_N, max_k: int = MAX_K) -> 
 def blowup_guarantee(n: int, k: int) -> int:
     """Self-intersection guaranteed in E(n) # k CP2bar by edge blow-ups
     on the reference tree: construction_square(n) - 5k."""
-    if k < 0:
-        raise ValidationError(f"blow-up count must be >= 0, got {k}")
+    n, k = as_nk(n, k)
     return construction_square(n) - 5 * k
 
 
@@ -467,6 +464,7 @@ def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> 
     A queue of section edges stands in for a heap of all edges: every
     fragment hangs off the section (vertex 0), so (0, *) edges sort first,
     and blowing up (0, v) adds (0, w), w the new largest vertex, and (v, w)."""
+    k = None if k is None else as_nk(spec.n, k)[1]
     graph, spent = build_tree(spec, resolutions=plan.resolutions)
     if k is not None and spent + plan.edge_blowups + plan.point_blowups != k:
         raise ValidationError(
@@ -503,10 +501,7 @@ def best_sphere(
     and rewrites and checked against the quadratic-form oracle before
     being returned.
     """
-    if n < 2:
-        raise ValidationError(f"n must be at least 2, got {n}")
-    if k < 0:
-        raise ValidationError(f"blow-up count must be >= 0, got {k}")
+    n, k = as_nk(n, k)
     check_desk_scale(n, k, max_n, max_k)
     names = _resolve_allowed(allowed, extended)
     found = _dfs_best(n, k, names)

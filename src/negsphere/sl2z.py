@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plumbing import _is_json_int
+from .inputs import is_int
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -38,7 +38,12 @@ class GroupElement:
     m22: int
 
     def __post_init__(self) -> None:
-        _check_int64((self.m11, self.m12, self.m21, self.m22))
+        entries = (self.m11, self.m12, self.m21, self.m22)
+        if not all(map(is_int, entries)):
+            raise ValueError(f"matrix entries must be integers, got {self.to_lists()!r}")
+        if float in map(type, entries):
+            return self.__init__(*map(int, entries))  # checks the matrix again, as ints
+        _check_int64(entries)
         det = self.m11 * self.m22 - self.m12 * self.m21
         if det != 1:
             raise ValueError(f"determinant must be 1, got {det}")
@@ -52,11 +57,12 @@ class GroupElement:
 
     @classmethod
     def from_lists(cls, rows) -> "GroupElement":
-        """The matrix ``to_lists`` wrote; an entry is an int or an integral float."""
-        (m11, m12), (m21, m22) = rows
-        if not all(map(_is_json_int, (m11, m12, m21, m22))):
-            raise ValueError(f"matrix entries must be integers, got {rows!r}")
-        return cls(int(m11), int(m12), int(m21), int(m22))
+        """The matrix ``to_lists`` wrote; the constructor checks its entries."""
+        try:
+            (m11, m12), (m21, m22) = rows
+        except (TypeError, ValueError):
+            raise ValueError(f"a matrix must be two rows of two entries, got {rows!r}") from None
+        return cls(m11, m12, m21, m22)
 
 
 IDENTITY = GroupElement(1, 0, 0, 1)
@@ -99,9 +105,9 @@ def word_to_matrix(word: str) -> GroupElement:
 
     Folds the word over four plain ints: right-multiplying by ``a`` adds
     the first column to the second, by ``b`` subtracts the second from the
-    first.  Every step is checked like a ``GroupElement``: all four
-    entries inside 64 bits (else OverflowError at the first step that
-    leaves them) and determinant 1.
+    first, a column operation of determinant 1.  Every step keeps all four
+    entries inside 64 bits, else OverflowError at the first step that
+    leaves them; the returned ``GroupElement`` checks the determinant once.
     """
     m11, m12, m21, m22 = 1, 0, 0, 1
     for ch in normalize_word(word):
@@ -114,8 +120,6 @@ def word_to_matrix(word: str) -> GroupElement:
         if not (INT64_MIN <= m11 <= INT64_MAX and INT64_MIN <= m12 <= INT64_MAX
                 and INT64_MIN <= m21 <= INT64_MAX and INT64_MIN <= m22 <= INT64_MAX):
             _check_int64((m11, m12, m21, m22))
-        if m11 * m22 - m12 * m21 != 1:
-            raise ValueError(f"determinant must be 1, got {m11 * m22 - m12 * m21}")
     return GroupElement(m11, m12, m21, m22)
 
 

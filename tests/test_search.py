@@ -431,7 +431,7 @@ def test_branch_and_bound_node_count_over_the_guard_grid(monkeypatch):
     for n in range(2, 31):
         for k in range(51):
             best_sphere(n, k)
-    assert calls == {"nodes": 37704, "leaves": 1506}
+    assert calls == {"nodes": 36198, "leaves": 0}
 
 
 def test_enumerate_specs_validates_the_reference_once(monkeypatch):

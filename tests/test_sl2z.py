@@ -138,6 +138,10 @@ def test_serialization_round_trip():
     for bad in (1.9, True, "1"):
         with pytest.raises(ValueError, match="matrix entries must be integers"):
             GroupElement.from_lists([[bad, 0], [0, 1]])
+    # anything but two rows of two entries is one ValueError line, not a TypeError
+    for bad in (5, None, [[1, 0], 5], [[1, 0], [0, 1, 2]]):
+        with pytest.raises(ValueError, match=r"^a matrix must be two rows of two entries, got .*$"):
+            GroupElement.from_lists(bad)
 
 
 def test_word_to_matrix_matches_a_compose_fold():
