@@ -28,8 +28,8 @@ from .search import (
     best_sphere,
     check_desk_scale,
     conjecture_check,
+    plan_provenance,
     replay_plan,
-    with_provenance,
 )
 from .verify import run_battery
 
@@ -167,10 +167,6 @@ def _write_dot(path: str, text: str) -> None:
         handle.write(text + "\n")
 
 
-def _fraction_float(value: Fraction) -> float:
-    return value.numerator / value.denominator
-
-
 # -- handlers ------------------------------------------------------------------
 
 
@@ -238,7 +234,7 @@ def _cmd_build(args) -> int:
         )
     graph = replay_plan(spec, plan)  # build_tree validates the spec
     square = checked_square(graph)
-    spec, provenance = with_provenance(spec, plan)  # the file's claim is not trusted
+    provenance = plan_provenance(spec, plan)  # the file's claim is not read
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:
@@ -310,7 +306,7 @@ def _cmd_search(args) -> int:
     print(f"plan: {'; '.join(plan_bits)} (budget {args.k} spent exactly)")
     print(f"running total: {_running_totals(result)}")
     b2 = betti(args.n, args.k).b2
-    print(f"b2 = {b2}, ratio = {ratio} ~ {_fraction_float(ratio):.4f}, "
+    print(f"b2 = {b2}, ratio = {ratio} ~ {float(ratio):.4f}, "
           f"candidate bound {CANDIDATE_CONSTANT}: "
           f"{'satisfied' if satisfies else 'VIOLATED'}")
     return EXIT_OK if satisfies else EXIT_VERIFICATION
@@ -363,7 +359,7 @@ def _cmd_conjecture(args) -> int:
             ratio = Fraction(row["ratio"]["num"], row["ratio"]["den"])
             mark = "ok" if row["satisfies"] else "VIOLATION"
             print(f"n={row['n']:>2} k={row['k']:>2}  best={row['best_square']:>6}  "
-                  f"b2={row['b2']:>3}  ratio={ratio} ~ {_fraction_float(ratio):.4f}  {mark}")
+                  f"b2={row['b2']:>3}  ratio={ratio} ~ {float(ratio):.4f}  {mark}")
         print(f"{len(rows)} cases, {violations} violations of [S]^2 >= {CANDIDATE_CONSTANT}*b2")
     return EXIT_OK if violations == 0 else EXIT_VERIFICATION
 

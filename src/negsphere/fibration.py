@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import sl2z
 from .fibers import FiberOption, catalog, fiber
@@ -36,7 +37,6 @@ class FibrationSpec:
 
     n: int
     fibers: tuple[str, ...]
-    provenance: str = ASSUMED_REALIZABLE
 
     def __post_init__(self) -> None:
         if type(self.n) is not int:
@@ -45,13 +45,16 @@ class FibrationSpec:
         if not _NAMES.issuperset(self.fibers):
             for name in self.fibers:
                 fiber(name)  # raises, naming the first unknown type
-        if self.provenance not in (PAPER_VERIFIED, ASSUMED_REALIZABLE):
-            raise ValidationError(f"unknown provenance {self.provenance!r}")
+
+    @property
+    def provenance(self) -> str:
+        """``paper_verified`` when the source builds on this fiber multiset
+        (see ``documented_choices``), else ``assumed_realizable``."""
+        return ASSUMED_REALIZABLE if documented_choices(self) is None else PAPER_VERIFIED
 
     def canonical(self) -> "FibrationSpec":
         """Same multiset of fibers, sorted in canonical order."""
-        ordered = tuple(sorted(self.fibers, key=_RANK.__getitem__))
-        return FibrationSpec(self.n, ordered, self.provenance)
+        return FibrationSpec(self.n, tuple(sorted(self.fibers, key=_RANK.__getitem__)))
 
     def euler_sum(self) -> int:
         return sum(map(_EULER.__getitem__, self.fibers))
@@ -71,7 +74,10 @@ class FibrationSpec:
         fibers = data["fibers"]
         if not isinstance(fibers, list) or not all(isinstance(nm, str) for nm in fibers):
             raise ValidationError(f"spec 'fibers' must be a list of fiber names, got {fibers!r}")
-        return cls(data["n"], fibers, str(data.get("provenance", ASSUMED_REALIZABLE)))
+        claim = str(data.get("provenance", ASSUMED_REALIZABLE))  # checked, never stored
+        if claim not in (PAPER_VERIFIED, ASSUMED_REALIZABLE):
+            raise ValidationError(f"unknown provenance {claim!r}")
+        return cls(data["n"], fibers)
 
 
 def validate(spec: FibrationSpec) -> None:
@@ -111,10 +117,61 @@ def reference_decomposition(n: int) -> FibrationSpec:
     if spec is None:
         k, r = divmod(n, 5)
         fibers = ("E8t",) * (6 * k) + _RESIDUE_FIBERS[r]
-        spec = FibrationSpec(n=n, fibers=fibers, provenance=PAPER_VERIFIED)
+        spec = FibrationSpec(n=n, fibers=fibers)
         validate(spec)
         _REFERENCE_SPECS[n] = spec
     return spec
+
+
+class WorkedExample(NamedTuple):
+    """A construction the source works out in E(n) # k CP2bar; ``fibers``
+    is in canonical order, or None for the reference tree."""
+
+    n: int
+    k: int
+    fibers: tuple[str, ...] | None
+    choices: dict[int, str]
+    edge_blowups: int
+    point_blowups: int
+    square: int
+    what: str
+    vertices: int | None = None
+
+
+_E6_CUSP = ("E8t",) * 7 + ("II_cusp",)
+
+#: The source's worked examples, replayed one by one by ``verify-paper``.
+#: Their choices on multisets other than the reference decomposition are
+#: the documented constructions behind ``paper_verified`` provenance.
+WORKED_EXAMPLES = (
+    WorkedExample(2, 0, None, {}, 0, 0, -86, "reference tree"),
+    WorkedExample(2, 1, ("E8t", "E8t", "IV"), {2: "resolve"}, 0, 0, -92,
+                  "type-IV fiber resolved", vertices=23),
+    WorkedExample(6, 0, None, {}, 0, 0, -262, "reference tree"),
+    WorkedExample(6, 0, _E6_CUSP, {7: "skip"}, 0, 0, -258, "seven E8t fibers, cusp left out",
+                  vertices=64),
+    WorkedExample(6, 1, None, {}, 0, 1, -266, "point blow-up on the section (tube)"),
+    WorkedExample(6, 1, None, {}, 1, 0, -267, "one edge blow-up"),
+    WorkedExample(6, 1, _E6_CUSP, {7: "replace"}, 0, 0, -269, "cusp replaced by a (-9)-sphere"),
+    WorkedExample(6, 3, None, {}, 3, 0, -277, "three edge blow-ups"),
+    WorkedExample(6, 3, _E6_CUSP, {7: "resolve"}, 0, 0, -278, "cusp resolved"),
+    WorkedExample(6, 3, _E6_CUSP, {7: "replace"}, 2, 0, -279, "cusp replaced, two edge blow-ups"),
+)
+
+
+def documented_choices(spec: FibrationSpec) -> set | None:
+    """The (type, choice) pairs the source's constructions make on the
+    fiber multiset of ``spec`` (listed in any order), or None when it builds
+    none there.  A reference tree uses every fiber as it is; a worked
+    example makes its row's choices.  Never raises: the reference is built
+    only for n >= 2 and only when it has as many fibers as ``spec``."""
+    n, fibers = spec.n, spec.canonical().fibers
+    size = 6 * (n // 5) + len(_RESIDUE_FIBERS[n % 5])  # of the reference
+    if n >= 2 and len(fibers) == size and fibers == reference_decomposition(n).fibers:
+        return {(name, "use") for name in fibers}
+    documented = {(name, row.choices.get(i, "use")) for row in WORKED_EXAMPLES
+                  if (row.n, row.fibers) == (n, fibers) for i, name in enumerate(fibers)}
+    return documented or None
 
 
 def fiber_option(spec: FibrationSpec, i: int, choice: str | None = None) -> FiberOption:
@@ -147,7 +204,8 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     """
     validate(spec)
     # every resolution is checked before the first fragment is placed
-    chosen = {i: fiber_option(spec, i, choice) for i, choice in (resolutions or {}).items()}
+    resolutions = {} if resolutions is None else json_object(resolutions, "resolutions")
+    chosen = {i: fiber_option(spec, i, choice) for i, choice in resolutions.items()}
 
     graph = PlumbingGraph([-spec.n], labels=["section"],
                           trace=[{"op": "section", "n": spec.n, "vertex": 0}])

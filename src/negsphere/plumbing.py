@@ -227,7 +227,10 @@ class PlumbingGraph:
         is inserted between them; smoothing afterwards loses exactly 5.
         The coloring is not carried, since one side of the edge flips.
         """
-        key = _edge_key(*edge)
+        u, v = edge
+        if not (type(u) is int and type(v) is int):
+            raise PlumbingError(f"edge ends must be integers, got ({u!r}, {v!r})")
+        key = _edge_key(u, v)
         try:
             i = self.edges.index(key)
         except ValueError:
@@ -243,6 +246,8 @@ class PlumbingGraph:
         hangs off it as a new leaf; smoothing afterwards loses exactly 4
         (the tube-with-a-(-4)-sphere baseline).
         """
+        if type(vertex) is not int:
+            raise PlumbingError(f"a vertex must be an integer, got {vertex!r}")
         if not 0 <= vertex < len(self.weights):
             raise PlumbingError(f"no vertex {vertex} to blow up")
         out = self._blow_up((vertex,), self.edges.copy())

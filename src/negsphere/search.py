@@ -24,20 +24,20 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import sl2z
 from .fibers import AB_POWER_FIBERS, FIBER_ORDER, catalog, fiber, order_index
 from .fibration import (
     ASSUMED_REALIZABLE,
     PAPER_VERIFIED,
+    WORKED_EXAMPLES,  # re-exported
     FibrationSpec,
     ValidationError,
     betti,
     build_tree,
     construction_square,
+    documented_choices,
     fiber_option,
-    reference_decomposition,
 )
 from .inputs import as_int, as_nk, json_key_int, json_object
 from .plumbing import PlumbingError, PlumbingGraph, _json_copy, checked_square
@@ -85,7 +85,8 @@ class BlowupPlan:
             if count < 0:
                 raise ValidationError(f"{what} must be >= 0, got {count}")
             object.__setattr__(self, what, count)
-        resolutions = {as_int(i, "plan resolution index"): c for i, c in self.resolutions.items()}
+        resolutions = {as_int(i, "plan resolution index"): c
+                       for i, c in json_object(self.resolutions, "plan 'resolutions'").items()}
         for i in resolutions:
             if i < 0:
                 raise ValidationError(f"resolution fiber index must be >= 0, got {i}")
@@ -124,18 +125,26 @@ class BlowupPlan:
 class SearchResult:
     """The winner of a search.  ``graph`` is the replayed, oracle-checked
     plumbing graph; it is left out of ``==`` and of the JSON form, which
-    carries its ``trace``.  Not hashable, like the graph it holds."""
+    carries its ``trace``.  ``ratio`` and ``provenance`` are derived from
+    the other fields.  Not hashable, like the graph it holds."""
 
     n: int
     k: int
     best_square: int
     spec: FibrationSpec
     plan: BlowupPlan
-    ratio: Fraction
-    provenance: str
     graph: PlumbingGraph | None = field(default=None, compare=False, repr=False)
 
     __hash__ = None
+
+    @property
+    def ratio(self) -> Fraction:
+        """Exact best_square / b2 of E(n) # k CP2bar."""
+        return Fraction(self.best_square, betti(self.n, self.k).b2)
+
+    @property
+    def provenance(self) -> str:
+        return plan_provenance(self.spec, self.plan)
 
     @property
     def trace(self) -> list[dict]:
@@ -237,73 +246,17 @@ def _monodromy_is_trivial(names, counts) -> bool:
     return sl2z.is_identity(sl2z.word_to_matrix(word))
 
 
-class WorkedExample(NamedTuple):
-    """A construction the source works out in E(n) # k CP2bar; ``fibers``
-    is in canonical order, or None for the reference tree."""
-
-    n: int
-    k: int
-    fibers: tuple[str, ...] | None
-    choices: dict[int, str]
-    edge_blowups: int
-    point_blowups: int
-    square: int
-    what: str
-    vertices: int | None = None
-
-
-_E6_CUSP = ("E8t",) * 7 + ("II_cusp",)
-
-#: The source's worked examples, replayed one by one by ``verify-paper``.
-#: Their choices on multisets other than the reference decomposition are
-#: the documented constructions behind ``paper_verified`` provenance.
-WORKED_EXAMPLES = (
-    WorkedExample(2, 0, None, {}, 0, 0, -86, "reference tree"),
-    WorkedExample(2, 1, ("E8t", "E8t", "IV"), {2: "resolve"}, 0, 0, -92,
-                  "type-IV fiber resolved", vertices=23),
-    WorkedExample(6, 0, None, {}, 0, 0, -262, "reference tree"),
-    WorkedExample(6, 0, _E6_CUSP, {7: "skip"}, 0, 0, -258, "seven E8t fibers, cusp left out",
-                  vertices=64),
-    WorkedExample(6, 1, None, {}, 0, 1, -266, "point blow-up on the section (tube)"),
-    WorkedExample(6, 1, None, {}, 1, 0, -267, "one edge blow-up"),
-    WorkedExample(6, 1, _E6_CUSP, {7: "replace"}, 0, 0, -269, "cusp replaced by a (-9)-sphere"),
-    WorkedExample(6, 3, None, {}, 3, 0, -277, "three edge blow-ups"),
-    WorkedExample(6, 3, _E6_CUSP, {7: "resolve"}, 0, 0, -278, "cusp resolved"),
-    WorkedExample(6, 3, _E6_CUSP, {7: "replace"}, 2, 0, -279, "cusp replaced, two edge blow-ups"),
-)
-
-
-# one set lookup per multiset, so _documented_choices does not scan the table
-_WORKED_SPECS = {(row.n, row.fibers) for row in WORKED_EXAMPLES if row.fibers is not None}
-
-
-def _documented_choices(n: int, names_sorted: tuple[str, ...]) -> set | None:
-    """The (type, choice) pairs the source's constructions make on this
-    multiset, or None when it builds none there.  A reference tree uses
-    every fiber as it is."""
-    if names_sorted == reference_decomposition(n).fibers:
-        return {(name, "use") for name in names_sorted}
-    if (n, names_sorted) not in _WORKED_SPECS:
-        return None
-    return {(name, row.choices.get(i, "use"))
-            for row in WORKED_EXAMPLES if (row.n, row.fibers) == (n, names_sorted)
-            for i, name in enumerate(names_sorted)}
-
-
-def with_provenance(spec: FibrationSpec, plan: BlowupPlan) -> tuple[FibrationSpec, str]:
-    """``spec`` carrying the provenance of its fiber multiset, and the
-    provenance of the (spec, plan) pair.  The multiset is ``paper_verified``
-    when the source builds on it; the pair is when, in addition, every fiber
-    takes a choice the source makes on that multiset.  Fibers may be listed
-    in any order; the provenance ``spec`` claims is not read."""
-    documented = _documented_choices(spec.n, spec.canonical().fibers)
+def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
+    """``paper_verified`` when the source builds on the fiber multiset of
+    ``spec`` (see ``fibration.documented_choices``) and every fiber takes
+    a choice the source makes there, else ``assumed_realizable``.  Fibers
+    may be listed in any order."""
+    documented = documented_choices(spec)
     on_pattern = documented is not None and all(
         (name, fiber_option(spec, i, plan.resolutions.get(i)).choice) in documented
         for i, name in enumerate(spec.fibers)
     )
-    spec = FibrationSpec(spec.n, spec.fibers,
-                         ASSUMED_REALIZABLE if documented is None else PAPER_VERIFIED)
-    return spec, PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
+    return PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
 
 
 def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
@@ -314,21 +267,15 @@ def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
     automatically (ab)^{6n} = 1; extended types (E7t, III, I1_nodal) make
     the product order-dependent, so each candidate's canonical-order word
     is checked and non-trivial products are dropped.  Which check applies
-    and which multisets are documented is settled once per call.
+    is settled once per call.
     """
     n, _ = as_nk(n)
     names = _resolve_allowed(allowed, extended)
     eulers = tuple(fiber(nm).euler for nm in names)
     ab_only = AB_POWER_FIBERS.issuperset(names)
-    # the multisets on which _documented_choices finds a construction
-    documented = {reference_decomposition(n).fibers} | {
-        fibers for m, fibers in _WORKED_SPECS if m == n}
     for counts in _iter_counts(eulers, 12 * n):
-        if not (ab_only or _monodromy_is_trivial(names, counts)):
-            continue
-        fibers = _expand(names, counts)
-        provenance = PAPER_VERIFIED if fibers in documented else ASSUMED_REALIZABLE
-        yield FibrationSpec(n=n, fibers=fibers, provenance=provenance)
+        if ab_only or _monodromy_is_trivial(names, counts):
+            yield FibrationSpec(n=n, fibers=_expand(names, counts))
 
 
 # -- per-spec plan optimization ----------------------------------------------
@@ -439,6 +386,7 @@ def _dfs_best(n, k, names):
 
 def check_desk_scale(n: int, k: int, max_n: int = MAX_N, max_k: int = MAX_K) -> None:
     """Raise ValueError when (n, k) exceeds the desk-scale guard."""
+    n, k = as_int(n, "n"), as_int(k, "blow-up count")
     max_n, max_k = as_int(max_n, "max_n"), as_int(max_k, "max_k")
     if n > max_n or k > max_k:
         raise ValueError(
@@ -512,26 +460,16 @@ def best_sphere(
     value, counts, plan_counts = found
 
     plan = _plan_from_counts(names, plan_counts)
-    spec, provenance = with_provenance(FibrationSpec(n=n, fibers=_expand(names, counts)), plan)
+    spec = FibrationSpec(n=n, fibers=_expand(names, counts))
     graph = replay_plan(spec, plan, k=k)
     square = checked_square(graph)
     if square != value:
         raise AssertionError(f"replay mismatch: model {value}, checked square {square}")
 
-    return SearchResult(
-        n=n,
-        k=k,
-        best_square=value,
-        spec=spec,
-        plan=plan,
-        ratio=Fraction(value, betti(n, k).b2),
-        provenance=provenance,
-        graph=graph,
-    )
+    return SearchResult(n=n, k=k, best_square=value, spec=spec, plan=plan, graph=graph)
 
 
 def conjecture_check(result: SearchResult) -> tuple[Fraction, bool]:
     """Exact ratio best_square / b2 and whether [S]^2 >= -5 * b2 holds."""
-    b2 = betti(result.n, result.k).b2
-    ratio = Fraction(result.best_square, b2)
-    return ratio, result.best_square >= CANDIDATE_CONSTANT * b2
+    ratio = result.ratio
+    return ratio, ratio >= CANDIDATE_CONSTANT  # b2 > 0

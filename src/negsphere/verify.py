@@ -3,7 +3,7 @@
 Every documented value the package claims to reproduce is recomputed
 here from scratch: group relations, the catalog, the s(n) table with its
 closed-form comparison, the worked E(2)/E(6) examples (one item per row
-of ``search.WORKED_EXAMPLES``), blow-up deltas, search rediscovery and
+of ``fibration.WORKED_EXAMPLES``), blow-up deltas, search rediscovery and
 the ratio screen.  Each item reports PASS/FAIL with the numbers it saw.
 """
 
@@ -15,6 +15,7 @@ from functools import cache, partial
 from . import sl2z
 from .fibers import catalog, fiber
 from .fibration import (
+    WORKED_EXAMPLES,
     FibrationSpec,
     betti,
     closed_form_square,
@@ -23,7 +24,6 @@ from .fibration import (
 )
 from .plumbing import PlumbingGraph, checked_square
 from .search import (
-    WORKED_EXAMPLES,
     BlowupPlan,
     best_sphere,
     blowup_guarantee,

@@ -1,13 +1,17 @@
+import dataclasses
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from negsphere import fibration
 from negsphere.cli import main
 from negsphere.fibers import catalog, fiber
 from negsphere.fibration import (
+    ASSUMED_REALIZABLE,
     FibrationSpec,
     PAPER_VERIFIED,
     ValidationError,
@@ -19,7 +23,7 @@ from negsphere.fibration import (
     validate,
 )
 from negsphere.plumbing import PlumbingGraph, oracle_square
-from negsphere.search import WORKED_EXAMPLES, best_sphere
+from negsphere.search import WORKED_EXAMPLES, BlowupPlan, best_sphere, plan_provenance
 
 
 def spec_of(n, *names):
@@ -57,6 +61,41 @@ def test_reference_decomposition_residues():
     assert reference_decomposition(8).fibers == ("E8t",) * 9 + ("I0star",)
     assert reference_decomposition(4).fibers == ("E8t",) * 4 + ("E6t",)
     assert reference_decomposition(2).provenance == PAPER_VERIFIED
+
+
+def test_a_spec_is_its_n_and_fibers():
+    assert [f.name for f in dataclasses.fields(FibrationSpec)] == ["n", "fibers"]
+    for n in range(2, 31):
+        reference = reference_decomposition(n)
+        assert FibrationSpec(n, reference.fibers) == reference
+        assert FibrationSpec(n, reference.fibers).provenance == PAPER_VERIFIED
+
+
+@pytest.mark.parametrize("row", [row for row in WORKED_EXAMPLES if row.fibers is not None]
+                         + [row for row in WORKED_EXAMPLES if row.fibers is None][:2])
+def test_every_order_of_a_worked_example_has_its_provenance(row):
+    canonical = row.fibers or reference_decomposition(row.n).fibers
+    orders = set(itertools.permutations(canonical))
+    assert canonical in orders and len(orders) > 1
+    for fibers in orders:
+        spec = FibrationSpec(row.n, fibers)
+        # each row makes its choice on the one fiber of that type
+        choices = {fibers.index(canonical[i]): c for i, c in row.choices.items()}
+        assert spec.provenance == PAPER_VERIFIED
+        assert plan_provenance(spec, BlowupPlan(choices, row.edge_blowups)) == PAPER_VERIFIED
+
+
+@given(st.integers(-3, 40), st.lists(st.sampled_from([e.name for e in catalog()]), max_size=12))
+@example(n=1, fibers=["I0star", "I0star"])
+@example(n=0, fibers=[])
+@example(n=10**12, fibers=["E8t"] * 6)
+@example(n=2, fibers=["I0star", "E6t", "E8t"])
+def test_reading_provenance_never_raises(n, fibers):
+    spec = FibrationSpec(n, fibers)
+    assert spec.provenance in (PAPER_VERIFIED, ASSUMED_REALIZABLE)
+    assert spec.provenance == spec.canonical().provenance
+    if n < 2:
+        assert spec.provenance == ASSUMED_REALIZABLE
 
 
 def test_reference_decomposition_validates_up_to_30():

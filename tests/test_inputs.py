@@ -22,7 +22,13 @@ from negsphere.fibration import (
     reference_decomposition,
 )
 from negsphere.plumbing import PlumbingGraph
-from negsphere.search import BlowupPlan, best_sphere, enumerate_specs, replay_plan
+from negsphere.search import (
+    BlowupPlan,
+    best_sphere,
+    check_desk_scale,
+    enumerate_specs,
+    replay_plan,
+)
 from negsphere.sl2z import GroupElement
 
 _SCALARS = (
@@ -70,6 +76,8 @@ _SITES = {
     "best_sphere k": lambda v: best_sphere(2, v).to_json_dict(),
     "best_sphere max_n": lambda v: best_sphere(2, 0, max_n=v).to_json_dict(),
     "best_sphere max_k": lambda v: best_sphere(2, 1, max_k=v).to_json_dict(),
+    "check_desk_scale n": lambda v: check_desk_scale(v, 0),
+    "check_desk_scale k": lambda v: check_desk_scale(2, v),
 }
 # the value is a dict key there, so it must be hashable
 _KEY_SITES = {"BlowupPlan resolution index", "build_tree resolution index"}
@@ -111,6 +119,8 @@ def _outcome(site, value):
 @example(site="build_tree resolution index", value="0")
 @example(site="BlowupPlan edge_blowups", value=1.5)
 @example(site="BlowupPlan resolution index", value="0")
+@example(site="check_desk_scale n", value="3")
+@example(site="check_desk_scale k", value=True)
 def test_every_entry_point_reads_numbers_by_the_integer_rule(site, value):
     assume(site not in _KEY_SITES or isinstance(value, Hashable))
     assume(not (site == "replay_plan k" and value is None))  # None: no budget to check

@@ -68,11 +68,18 @@ def test_blow_up_missing_edge():
     g = chain(-2, -2, -2)
     with pytest.raises(PlumbingError, match="no edge"):
         g.blow_up_edge((0, 2))
+    # edge ends follow add_edge's rule: ints only, so (0, True) is not (0, 1)
+    for edge in ((0, True), (0, 1.0), (False, 1), (0, "1")):
+        with pytest.raises(PlumbingError, match=r"^edge ends must be integers, got \(.*\)$"):
+            g.blow_up_edge(edge)
 
 
 def test_blow_up_missing_vertex():
     with pytest.raises(PlumbingError, match="no vertex"):
         chain(-2, -2).blow_up_point_on_vertex(5)
+    for vertex in (True, 0.0, "0", None):
+        with pytest.raises(PlumbingError, match=r"^a vertex must be an integer, got .*$"):
+            chain(-2, -2).blow_up_point_on_vertex(vertex)
 
 
 def test_two_coloring_single_vertex():

@@ -21,10 +21,10 @@ from negsphere.fibration import (
 )
 from negsphere.plumbing import PlumbingError, checked_square, oracle_square
 from negsphere.search import (
+    WORKED_EXAMPLES,
     BlowupPlan,
     NoSolutionError,
     SearchResult,
-    _documented_choices,
     _monodromy_is_trivial,
     best_sphere,
     blowup_guarantee,
@@ -105,9 +105,11 @@ def test_enumerate_specs_yields_every_default_multiset_with_its_provenance():
     for n in range(2, 13):
         specs = list(enumerate_specs(n))
         assert len(specs) == coin_change_count(12 * n)
-        for spec in specs:
-            documented = _documented_choices(n, spec.fibers) is not None
-            assert spec.provenance == (PAPER_VERIFIED if documented else ASSUMED_REALIZABLE)
+        # the source builds on the reference multiset and on its worked examples' ones
+        documented = {reference_decomposition(n).fibers} | {
+            row.fibers for row in WORKED_EXAMPLES if row.n == n and row.fibers is not None}
+        assert {s.fibers for s in specs if s.provenance == PAPER_VERIFIED} == documented
+        assert all(s.provenance in (PAPER_VERIFIED, ASSUMED_REALIZABLE) for s in specs)
     assert len(specs) == 13811
 
 
@@ -124,11 +126,8 @@ def test_extended_enumeration_is_a_per_spec_monodromy_filter(n):
     names = ("E8t", "E7t", "E6t", "I0star", "IV", "III", "II_cusp", "I1_nodal")
     kept = sorted((c for c in count_vectors([fiber(nm).euler for nm in names], 12 * n)
                    if _monodromy_is_trivial(names, c)), reverse=True)
-    expected = []
-    for counts in kept:
-        fibers = tuple(nm for nm, c in zip(names, counts) for _ in range(c))
-        documented = _documented_choices(n, fibers) is not None
-        expected.append(FibrationSpec(n, fibers, PAPER_VERIFIED if documented else ASSUMED_REALIZABLE))
+    expected = [FibrationSpec(n, tuple(nm for nm, c in zip(names, counts) for _ in range(c)))
+                for counts in kept]
     assert list(enumerate_specs(n, extended=True)) == expected
 
 
@@ -356,18 +355,27 @@ def test_conjecture_check():
     assert ratio == Fraction(-43, 11)
     assert ok
 
-    fake = SearchResult(
-        n=2,
-        k=0,
-        best_square=-120,
-        spec=reference_decomposition(2),
-        plan=BlowupPlan(),
-        ratio=Fraction(-120, 22),
-        provenance=ASSUMED_REALIZABLE,
-    )
+    # ratio and provenance are derived, never passed in
+    assert [f.name for f in dataclasses.fields(SearchResult)] == [
+        "n", "k", "best_square", "spec", "plan", "graph"]
+    fake = SearchResult(n=2, k=0, best_square=-120, spec=reference_decomposition(2), plan=BlowupPlan())
     ratio, ok = conjecture_check(fake)
-    assert ratio == Fraction(-60, 11)
+    assert ratio == fake.ratio == Fraction(-60, 11)
     assert not ok
+    # the bound itself: -5 * b2 holds, one less does not
+    assert conjecture_check(dataclasses.replace(fake, best_square=-110)) == (Fraction(-5), True)
+    assert not conjecture_check(dataclasses.replace(fake, best_square=-111))[1]
+
+
+@pytest.mark.parametrize("n, k", random.Random(17).sample(
+    [(n, k) for n in range(2, 31) for k in range(51)], 12) + [(2, 0), (6, 3), (30, 50)])
+def test_result_ratio_and_provenance_are_derived_from_its_fields(n, k):
+    result = best_sphere(n, k)
+    assert result.ratio == Fraction(result.best_square, betti(n, k).b2)
+    payload = result.to_json_dict()
+    assert payload["ratio"] == {"num": result.ratio.numerator, "den": result.ratio.denominator}
+    assert payload["provenance"] == result.provenance
+    assert payload["spec"]["provenance"] == result.spec.provenance
 
 
 def test_extended_search_not_worse_than_default():
@@ -459,6 +467,13 @@ def test_plan_blowup_cost_reads_the_catalog():
 def test_plan_rejects_negative_counts_and_indices(kwargs):
     with pytest.raises(ValidationError):
         BlowupPlan(**kwargs)
+
+
+def test_resolutions_must_be_a_dict():
+    with pytest.raises(ValidationError, match=r"^plan 'resolutions' must be a JSON object, got list$"):
+        BlowupPlan(resolutions=[(0, "use")])
+    with pytest.raises(ValidationError, match=r"^resolutions must be a JSON object, got list$"):
+        build_tree(reference_decomposition(2), [(0, "use")])
 
 
 def test_replay_rejects_resolution_index_past_last_fiber():
