@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .fibers import FiberOption, catalog, catalog_json, fiber
+from .fibers import FIBER_ORDER, FiberOption, catalog, catalog_json, fiber
 from .fibration import (
     FibrationSpec,
     ValidationError,
@@ -41,7 +41,7 @@ EXIT_INVALID = 2
 _FLAGS = {
     "--json": {"action": "store_true", "help": "emit machine-readable JSON"},
     "--dot": {"metavar": "PATH", "help": "write the relevant graph(s) as Graphviz DOT"},
-    "--extended-fibers": {"action": "store_true",
+    "--extended-fibers": {"action": "store_const", "const": FIBER_ORDER, "dest": "allowed",
                           "help": "admit E7t/III/I1_nodal (ordered-product validation)"},
     "--max-n": {"type": int, "default": MAX_N, "help": "desk-scale guard / grid limit for n"},
     "--max-k": {"type": int, "default": MAX_K, "help": "desk-scale guard / grid limit for k"},
@@ -282,8 +282,7 @@ def _running_totals(result) -> str:
 
 
 def _cmd_search(args) -> int:
-    result = best_sphere(args.n, args.k, extended=args.extended_fibers,
-                         max_n=args.max_n, max_k=args.max_k)
+    result = best_sphere(args.n, args.k, args.allowed, max_n=args.max_n, max_k=args.max_k)
     ratio, satisfies = conjecture_check(result)
     if args.dot:
         _write_dot(args.dot, result.graph.to_dot())
@@ -336,10 +335,8 @@ def _cmd_conjecture(args) -> int:
     violations = 0
     for n in range(2, max_n + 1):
         for k in range(0, max_k + 1):
-            result = best_sphere(
-                n, k, extended=args.extended_fibers,
-                max_n=max(max_n, MAX_N), max_k=max(max_k, MAX_K),
-            )
+            result = best_sphere(n, k, args.allowed,
+                                 max_n=max(max_n, MAX_N), max_k=max(max_k, MAX_K))
             ratio, satisfies = conjecture_check(result)
             violations += 0 if satisfies else 1
             rows.append(

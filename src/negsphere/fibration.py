@@ -59,9 +59,6 @@ class FibrationSpec:
     def euler_sum(self) -> int:
         return sum(map(_EULER.__getitem__, self.fibers))
 
-    def total_word(self) -> str:
-        return "".join(map(_WORD.__getitem__, self.fibers))
-
     def to_json_dict(self) -> dict:
         return {"n": self.n, "fibers": list(self.fibers), "provenance": self.provenance}
 
@@ -80,13 +77,19 @@ class FibrationSpec:
         return cls(data["n"], fibers)
 
 
+def _trivial_monodromy(fibers) -> bool:
+    """Whether the product of the fibers' monodromy words, in the order
+    listed, is the identity.  The names must be checked catalog names."""
+    return sl2z.is_identity(sl2z.word_to_matrix("".join(map(_WORD.__getitem__, fibers))))
+
+
 def validate(spec: FibrationSpec) -> None:
     """Check the two fibration invariants; raise ValidationError naming the failure."""
     as_nk(spec.n)
     total = spec.euler_sum()
     if total != 12 * spec.n:
         raise ValidationError(f"euler sum {total} != {12 * spec.n}")
-    if not sl2z.is_identity(sl2z.word_to_matrix(spec.total_word())):
+    if not _trivial_monodromy(spec.fibers):
         raise ValidationError("total monodromy is not the identity")
 
 

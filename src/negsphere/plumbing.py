@@ -227,7 +227,10 @@ class PlumbingGraph:
         is inserted between them; smoothing afterwards loses exactly 5.
         The coloring is not carried, since one side of the edge flips.
         """
-        u, v = edge
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise PlumbingError(f"an edge must be two ends, got {edge!r}") from None
         if not (type(u) is int and type(v) is int):
             raise PlumbingError(f"edge ends must be integers, got ({u!r}, {v!r})")
         key = _edge_key(u, v)

@@ -25,7 +25,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import sl2z
 from .fibers import AB_POWER_FIBERS, FIBER_ORDER, catalog, fiber, order_index
 from .fibration import (
     ASSUMED_REALIZABLE,
@@ -33,6 +32,7 @@ from .fibration import (
     WORKED_EXAMPLES,  # re-exported
     FibrationSpec,
     ValidationError,
+    _trivial_monodromy,
     betti,
     build_tree,
     construction_square,
@@ -45,7 +45,6 @@ from .plumbing import PlumbingError, PlumbingGraph, _json_copy, checked_square
 #: Searched by default: the types whose words are powers of (ab), so a
 #: multiset's validity does not depend on fiber order.
 DEFAULT_FIBERS = tuple(name for name in FIBER_ORDER if name in AB_POWER_FIBERS)
-EXTENDED_ONLY_FIBERS = tuple(name for name in FIBER_ORDER if name not in AB_POWER_FIBERS)
 
 #: Conjectured universal slope: [S]^2 >= CANDIDATE_CONSTANT * b2(X).
 CANDIDATE_CONSTANT = -5
@@ -176,19 +175,10 @@ _FREE = {
 _BEST_ADJ = {name: min(o.adjusted_gain for o in options) for name, options in _OPTIONS.items()}
 
 
-def _resolve_allowed(allowed, extended: bool) -> tuple[str, ...]:
-    if allowed is None:
-        allowed = DEFAULT_FIBERS + (EXTENDED_ONLY_FIBERS if extended else ())
-    names = tuple(sorted(set(allowed), key=order_index))
+def _resolve_allowed(allowed) -> tuple[str, ...]:
+    names = tuple(sorted(set(DEFAULT_FIBERS if allowed is None else allowed), key=order_index))
     if not names:
         raise ValueError("empty allowed fiber set")
-    if not extended:
-        outside = [nm for nm in names if nm not in DEFAULT_FIBERS]
-        if outside:
-            raise ValueError(
-                f"fiber types {outside} have order-dependent words and require "
-                "extended mode"
-            )
     return names
 
 
@@ -236,16 +226,6 @@ def _expand(names: tuple[str, ...], counts: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _monodromy_is_trivial(names, counts) -> bool:
-    """Whether the canonical-order product of the fibers' words is the
-    identity.  (ab)-power multisets need no product: their Euler sum is 12n,
-    so it is (ab)^{6n} = 1."""
-    if all(c == 0 or nm in AB_POWER_FIBERS for nm, c in zip(names, counts)):
-        return True
-    word = "".join(fiber(nm).word * c for nm, c in zip(names, counts))
-    return sl2z.is_identity(sl2z.word_to_matrix(word))
-
-
 def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
     """``paper_verified`` when the source builds on the fiber multiset of
     ``spec`` (see ``fibration.documented_choices``) and every fiber takes
@@ -259,23 +239,26 @@ def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
     return PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
 
 
-def enumerate_specs(n: int, allowed=None, *, extended: bool = False):
+def enumerate_specs(n: int, allowed=None):
     """Yield every valid fibration spec over the allowed fiber types.
 
+    ``allowed`` names the fiber types to walk (any catalog types, in any
+    order); None walks the five (ab)-power types, ``DEFAULT_FIBERS``.
     Each multiset with Euler sum 12n is emitted exactly once, fibers in
-    canonical order.  With only (ab)-power fiber types the monodromy is
-    automatically (ab)^{6n} = 1; extended types (E7t, III, I1_nodal) make
-    the product order-dependent, so each candidate's canonical-order word
-    is checked and non-trivial products are dropped.  Which check applies
-    is settled once per call.
+    canonical order.  With only (ab)-power types the monodromy is
+    automatically (ab)^{6n} = 1; E7t, III and I1_nodal make the product
+    order-dependent, so with any of them allowed each candidate's
+    canonical-order word is multiplied and non-trivial products are
+    dropped.  Which check applies is settled once per call.
     """
     n, _ = as_nk(n)
-    names = _resolve_allowed(allowed, extended)
+    names = _resolve_allowed(allowed)
     eulers = tuple(fiber(nm).euler for nm in names)
     ab_only = AB_POWER_FIBERS.issuperset(names)
     for counts in _iter_counts(eulers, 12 * n):
-        if ab_only or _monodromy_is_trivial(names, counts):
-            yield FibrationSpec(n=n, fibers=_expand(names, counts))
+        fibers = _expand(names, counts)
+        if ab_only or _trivial_monodromy(fibers):
+            yield FibrationSpec(n=n, fibers=fibers)
 
 
 # -- per-spec plan optimization ----------------------------------------------
@@ -377,7 +360,7 @@ def _dfs_best(n, k, names):
         return best is not None and partial[pos] + rates[pos] * remaining >= best[0] * scale
 
     for counts in _iter_counts(eulers, 12 * n, prune):
-        if ab_only or _monodromy_is_trivial(names, counts):
+        if ab_only or _trivial_monodromy(_expand(names, counts)):
             value, plan = _best_plan_for_counts(n, k, names, counts)
             if best is None or value < best[0]:
                 best = (value, counts, plan)
@@ -435,14 +418,15 @@ def best_sphere(
     k: int,
     allowed=None,
     *,
-    extended: bool = False,
     max_n: int = MAX_N,
     max_k: int = MAX_K,
 ) -> SearchResult:
     """Most negative smoothed sphere found in E(n) # k CP2bar.
 
-    Minimizes over every valid fiber multiset, usage subset, resolution
-    choice and exact spending of the blow-up budget.  Ties break to the
+    ``allowed`` names the fiber types searched, as for ``enumerate_specs``
+    (None: the five (ab)-power types).  Minimizes over every valid fiber
+    multiset of those types, usage subset, resolution choice and exact
+    spending of the blow-up budget.  Ties break to the
     first spec ``enumerate_specs`` would yield (the lexicographically
     smallest canonical spec), then to its first plan, so results are
     reproducible bit for bit.  The winner is replayed through the builder
@@ -451,7 +435,7 @@ def best_sphere(
     """
     n, k = as_nk(n, k)
     check_desk_scale(n, k, max_n, max_k)
-    names = _resolve_allowed(allowed, extended)
+    names = _resolve_allowed(allowed)
     found = _dfs_best(n, k, names)
     if found is None:
         raise NoSolutionError(

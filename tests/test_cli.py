@@ -10,9 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 from negsphere import cli, fibration, verify
 from negsphere import search as search_module
 from negsphere.cli import main
+from negsphere.fibers import FIBER_ORDER
 from negsphere.fibration import FibrationSpec
 from negsphere.plumbing import PlumbingGraph
-from negsphere.search import WORKED_EXAMPLES, BlowupPlan, replay_plan
+from negsphere.search import (
+    WORKED_EXAMPLES,
+    BlowupPlan,
+    best_sphere,
+    conjecture_check,
+    replay_plan,
+)
 
 
 def run(capsys, *argv):
@@ -69,6 +76,15 @@ def test_search_writes_dot(tmp_path, capsys):
     text = dot.read_text()
     assert text.startswith("graph")
     assert "shape=box" in text  # the two edge blow-ups are marked
+
+
+def test_search_extended_fibers_searches_every_catalog_type(capsys):
+    code, out, _ = run(capsys, "search", "2", "1", "--extended-fibers", "--json")
+    assert code == 0
+    result = best_sphere(2, 1, FIBER_ORDER)
+    expected = result.to_json_dict()
+    expected["satisfies_candidate_bound"] = conjecture_check(result)[1]
+    assert json.loads(out) == expected
 
 
 def test_build_replays_example(tmp_path, capsys):

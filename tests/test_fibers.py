@@ -10,7 +10,7 @@ from negsphere.fibers import (
     fiber,
 )
 from negsphere.plumbing import PlumbingGraph
-from negsphere.search import DEFAULT_FIBERS, EXTENDED_ONLY_FIBERS
+from negsphere.search import DEFAULT_FIBERS
 
 EXPECTED_WORDS = {
     "E8t": "ab" * 5,
@@ -234,4 +234,3 @@ def test_catalog_json_lists_options_in_tie_break_order():
 def test_ab_power_fibers_are_the_default_search_set():
     assert AB_POWER_FIBERS == {"E8t", "E6t", "I0star", "IV", "II_cusp"}
     assert DEFAULT_FIBERS == ("E8t", "E6t", "I0star", "IV", "II_cusp")
-    assert EXTENDED_ONLY_FIBERS == ("E7t", "III", "I1_nodal")

@@ -24,7 +24,8 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 from negsphere.cli import main
-from negsphere.search import MAX_K, MAX_N, best_sphere
+from negsphere.fibers import FIBER_ORDER
+from negsphere.search import MAX_K, MAX_N, best_sphere, enumerate_specs
 
 from treegen import random_tree_graph
 
@@ -66,6 +67,17 @@ def _rewrite_digest() -> str:
     return digest.hexdigest()
 
 
+def _extended_specs_digest() -> str:
+    """One digest over enumerate_specs(n) for n = 2..4 over every catalog
+    type: each spec's JSON, provenance included, in the order yielded."""
+    digest = hashlib.sha256()
+    for n in range(2, 5):
+        for spec in enumerate_specs(n, FIBER_ORDER):
+            digest.update(json.dumps(spec.to_json_dict()).encode())
+            digest.update(b"\0")
+    return digest.hexdigest()
+
+
 def _cli_digest(workdir: Path, *argv: str) -> str:
     """Digest of the command's exit code, stdout and DOT file (when it writes one)."""
     dot = workdir / "out.dot"
@@ -97,6 +109,11 @@ def corpus() -> dict[str, str]:
         # human-readable output: adjusted gains, running totals, check details
         for argv in (("catalog",), ("search", "6", "3"), ("verify-paper",)):
             entries[" ".join(argv)] = _cli_digest(workdir, *argv)
+        # every catalog type searched, order-dependent words included
+        for argv in (("search", "6", "3", "--extended-fibers", "--json", "--dot"),
+                     ("conjecture", "--extended-fibers", "--json")):
+            entries[" ".join(argv)] = _cli_digest(workdir, *argv)
+    entries["enumerate_specs n=2..4, every catalog type"] = _extended_specs_digest()
     return entries
 
 

@@ -72,6 +72,10 @@ def test_blow_up_missing_edge():
     for edge in ((0, True), (0, 1.0), (False, 1), (0, "1")):
         with pytest.raises(PlumbingError, match=r"^edge ends must be integers, got \(.*\)$"):
             g.blow_up_edge(edge)
+    # anything but a pair is not an edge: one PlumbingError, not an unpacking error
+    for edge, shown in ((5, "5"), (None, "None"), ((0, 1, 2), r"\(0, 1, 2\)")):
+        with pytest.raises(PlumbingError, match=rf"^an edge must be two ends, got {shown}$"):
+            chain(-2, -2).blow_up_edge(edge)
 
 
 def test_blow_up_missing_vertex():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negsphere import fibration, search
-from negsphere.fibers import fiber
+from negsphere.fibers import FIBER_ORDER, fiber
 from negsphere.fibration import (
     ASSUMED_REALIZABLE,
     FibrationSpec,
     PAPER_VERIFIED,
     ValidationError,
+    _trivial_monodromy,
     betti,
     build_tree,
     reference_decomposition,
@@ -25,7 +26,6 @@ from negsphere.search import (
     BlowupPlan,
     NoSolutionError,
     SearchResult,
-    _monodromy_is_trivial,
     best_sphere,
     blowup_guarantee,
     conjecture_check,
@@ -75,7 +75,7 @@ def test_enumerate_specs_all_validate():
     for n in (2, 3):
         for spec in enumerate_specs(n):
             validate(spec)
-    for spec in enumerate_specs(2, extended=True):
+    for spec in enumerate_specs(2, FIBER_ORDER):
         validate(spec)
 
 
@@ -124,16 +124,11 @@ def count_vectors(eulers, total):
 @pytest.mark.parametrize("n", [2, 3])
 def test_extended_enumeration_is_a_per_spec_monodromy_filter(n):
     names = ("E8t", "E7t", "E6t", "I0star", "IV", "III", "II_cusp", "I1_nodal")
-    kept = sorted((c for c in count_vectors([fiber(nm).euler for nm in names], 12 * n)
-                   if _monodromy_is_trivial(names, c)), reverse=True)
-    expected = [FibrationSpec(n, tuple(nm for nm, c in zip(names, counts) for _ in range(c)))
-                for counts in kept]
-    assert list(enumerate_specs(n, extended=True)) == expected
-
-
-def test_enumerate_specs_rejects_extended_without_flag():
-    with pytest.raises(ValueError, match="extended"):
-        list(enumerate_specs(2, allowed=("E8t", "E7t")))
+    multisets = [tuple(nm for nm, c in zip(names, counts) for _ in range(c))
+                 for counts in sorted(count_vectors([fiber(nm).euler for nm in names], 12 * n),
+                                      reverse=True)]
+    expected = [FibrationSpec(n, fibers) for fibers in multisets if _trivial_monodromy(fibers)]
+    assert list(enumerate_specs(n, names)) == expected
 
 
 def test_enumerate_specs_rejects_empty_set():
@@ -205,8 +200,8 @@ def test_replay_soundness():
 # Unpruned brute force: enumerate usage counts, resolution splits and
 # blow-up splits per spec, build every graph, smooth it.  No bounds, no
 # dominance shortcuts; values come from the rewrite engine.
-def brute_force_best(n, k, extended=False):
-    values = [brute_force_spec_best(spec, k) for spec in enumerate_specs(n, extended=extended)]
+def brute_force_best(n, k, allowed=None):
+    values = [brute_force_spec_best(spec, k) for spec in enumerate_specs(n, allowed)]
     return min((v for v in values if v is not None), default=None)
 
 
@@ -288,7 +283,7 @@ def test_pruned_search_matches_brute_force_up_to_n4(n, k):
 # At (2, 0) the branch-and-bound drops six leaves for their monodromy word.
 @pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (3, 0)])
 def test_pruned_extended_search_matches_brute_force(n, k):
-    assert best_sphere(n, k, extended=True).best_square == brute_force_best(n, k, extended=True)
+    assert best_sphere(n, k, FIBER_ORDER).best_square == brute_force_best(n, k, FIBER_ORDER)
 
 
 # Restricted searches tie often (IV + II_cusp on E(2) at k = 0: seven specs
@@ -297,10 +292,10 @@ def test_pruned_extended_search_matches_brute_force(n, k):
 @pytest.mark.parametrize("allowed", [("IV", "II_cusp"), ("E8t", "E7t", "III", "I1_nodal")])
 def test_search_wins_with_the_first_enumerated_spec_of_least_square(allowed):
     for n, k in ((2, 0), (2, 1), (3, 0)):
-        specs = list(enumerate_specs(n, allowed, extended=True))
+        specs = list(enumerate_specs(n, allowed))
         values = [brute_force_spec_best(spec, k) for spec in specs]
         least = min(v for v in values if v is not None)
-        result = best_sphere(n, k, allowed, extended=True)
+        result = best_sphere(n, k, allowed)
         assert (result.best_square, result.spec.fibers) == (least, specs[values.index(least)].fibers)
 
 
@@ -380,7 +375,7 @@ def test_result_ratio_and_provenance_are_derived_from_its_fields(n, k):
 
 def test_extended_search_not_worse_than_default():
     default = best_sphere(2, 1).best_square
-    extended = best_sphere(2, 1, extended=True).best_square
+    extended = best_sphere(2, 1, FIBER_ORDER).best_square
     assert extended <= default
 
 
@@ -410,7 +405,7 @@ def test_cusp_only_search_spends_budget_on_bare_section():
 def test_point_blowup_forced_on_bare_section():
     # type III fibers need 2 blow-ups each; with k = 1 none can be used,
     # so the single blow-up must hit a point of the bare section
-    result = best_sphere(2, 1, allowed=("III",), extended=True)
+    result = best_sphere(2, 1, allowed=("III",))
     assert result.best_square == -6
     assert result.plan.point_blowups == 1
     assert result.plan.edge_blowups == 0
