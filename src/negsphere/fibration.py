@@ -3,9 +3,9 @@
 E(n) (n >= 2, simply connected, with section) fibers over the sphere with
 total monodromy (ab)^{6n} and Euler characteristic 12n.  A fibration spec
 lists singular fibers whose Euler numbers sum to 12n and whose monodromy
-words multiply to the identity.  From a spec we assemble the plumbing
-tree: one section sphere of self-intersection -n joined to each used
-fiber's fragment at its attachment vertex.
+words, taken in canonical order, multiply to the identity.  From a spec
+we assemble the plumbing tree: one section sphere of self-intersection
+-n joined to each used fiber's fragment at its attachment vertex.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ _NAMES = frozenset(_EULER)
 
 @dataclass(frozen=True, slots=True)
 class FibrationSpec:
-    """An ordered list of singular fibers claimed to fibrate E(n)."""
+    """A multiset of singular fibers, listed in any order, claimed to fibrate E(n)."""
 
     n: int
     fibers: tuple[str, ...]
@@ -41,7 +41,8 @@ class FibrationSpec:
     def __post_init__(self) -> None:
         if type(self.n) is not int:
             object.__setattr__(self, "n", as_int(self.n, "spec 'n'"))
-        object.__setattr__(self, "fibers", tuple(self.fibers))
+        if type(self.fibers) is not tuple:
+            object.__setattr__(self, "fibers", _fiber_names(self.fibers, "spec 'fibers'"))
         if not _NAMES.issuperset(self.fibers):
             for name in self.fibers:
                 fiber(name)  # raises, naming the first unknown type
@@ -77,10 +78,18 @@ class FibrationSpec:
         return cls(data["n"], fibers)
 
 
+def _fiber_names(value, what: str) -> tuple:
+    """``value`` as a tuple; a string or a non-iterable raises ValidationError."""
+    if hasattr(value, "__iter__") and not isinstance(value, str):
+        return tuple(value)
+    raise ValidationError(f"{what} must be a collection of fiber names, got {value!r}")
+
+
 def _trivial_monodromy(fibers) -> bool:
-    """Whether the product of the fibers' monodromy words, in the order
-    listed, is the identity.  The names must be checked catalog names."""
-    return sl2z.is_identity(sl2z.word_to_matrix("".join(map(_WORD.__getitem__, fibers))))
+    """Whether the fibers' monodromy words, multiplied in canonical order, give
+    the identity: one verdict per multiset.  Names must be catalog names."""
+    ordered = sorted(fibers, key=_RANK.__getitem__)
+    return sl2z.is_identity(sl2z.word_to_matrix("".join(map(_WORD.__getitem__, ordered))))
 
 
 def validate(spec: FibrationSpec) -> None:

@@ -15,17 +15,16 @@ rewrites, which return new graphs and never mutate their input.  Facts
 derived from the edges (the edge set behind the duplicate check, whether
 the graph is a tree, its two-coloring) are computed at most once per
 graph: ``add_edge``/``add_tree`` extend the edge set and drop the other
-two, and rewrites carry forward what they preserve (a blow-up keeps a
-tree a tree).  Cycles are rejected only when smoothing, not at
-construction time, leaving intermediate experiments unrestricted.
+two, and a rewrite carries the tree flag only (a blow-up keeps a tree a
+tree).  Cycles are rejected only when smoothing, not at construction
+time, leaving intermediate experiments unrestricted.
 
 A rewrite copies only the weights and the edges, which decide the
 smoothed square.  Its labels, exceptional flags and trace (provenance) are
-a log over an ancestor's lists, built into lists on first read and cached.
-A graph copies lists that a rewrite's output still reads before it hands
-them out or edits them, and trace records (dicts) are copied wherever they
-cross from one graph, or from a graph to its JSON, to another, so later
-edits never reach across a rewrite.
+a log over an ancestor's lists (an input's own lists become its base too,
+under an empty log), built into lists on first read and cached.  Trace
+records (dicts) are copied wherever they cross from one graph, or from a
+graph to its JSON, to another, so later edits never reach across a rewrite.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def _json_copy(value):
 
 class PlumbingGraph:
     __slots__ = ("weights", "edges", "_labels", "_exceptional", "_trace", "_base", "_log",
-                 "_shared", "_edge_set", "_tree", "_coloring")
+                 "_edge_set", "_tree", "_coloring")
     __hash__ = None  # mutable, so not hashable
 
     # -- construction ------------------------------------------------------
@@ -78,7 +77,7 @@ class PlumbingGraph:
                                 f"{n}, {len(self._labels)} and {len(self._exceptional)}")
         self.edges = []
         self._trace = list(trace)
-        self._base, self._log, self._shared = None, None, False
+        self._base = self._log = None
         self._edge_set = self._tree = self._coloring = None
         for u, v in edges:
             self.add_edge(u, v)
@@ -136,14 +135,10 @@ class PlumbingGraph:
 
     def _own(self) -> tuple[list, list, list]:
         """The labels, flags and trace lists, this graph's own to hand out and
-        edit: copied first while a rewrite's output reads them, or built from
-        the log on first use (by a loop: a log may be thousands of links long).
-        Either way the trace records are copied too, since the ancestor's are
-        shared with every graph that reads them."""
-        if self._shared:
-            self._labels, self._exceptional = self._labels.copy(), self._exceptional.copy()
-            self._trace, self._shared = [_json_copy(rec) for rec in self._trace], False
-        elif self._base is not None:
+        edit, built from the base and the log on first use (by a loop: a log
+        may be thousands of links long, or empty).  The trace records are
+        copied too, since the base's are shared with every graph that reads it."""
+        if self._base is not None:
             (labels, flags, trace), link, links = self._base, self._log, []
             while link is not None:
                 links.append(link)
@@ -201,7 +196,8 @@ class PlumbingGraph:
         and carries the tree flag, since the new sphere keeps a tree a tree.
 
         Only weights and edges are copied: the output's provenance is an
-        ancestor's lists (``_base``) then a link (previous, ends, w) per blow-up."""
+        ancestor's lists (``_base``) then a link (previous, ends, w) per
+        blow-up; an input holding its own lists makes them its base too."""
         w = len(self.weights)
         weights = self.weights + [-1]
         for end in ends:
@@ -212,12 +208,9 @@ class PlumbingGraph:
         out = object.__new__(PlumbingGraph)
         out.weights, out.edges = weights, edges
         if self._base is None:
-            self._shared = True  # _own copies the lists before they can change
-            out._base = (self._labels, self._exceptional, self._trace)
-            out._log = (None, ends, w)
-        else:
-            out._base, out._log = self._base, (self._log, ends, w)
-        out._shared, out._edge_set, out._tree, out._coloring = False, None, self._tree, None
+            self._base = (self._labels, self._exceptional, self._trace)
+        out._base, out._log = self._base, (self._log, ends, w)
+        out._edge_set, out._tree, out._coloring = None, self._tree, None
         return out
 
     def blow_up_edge(self, edge: tuple[int, int]) -> "PlumbingGraph":
@@ -225,7 +218,6 @@ class PlumbingGraph:
 
         The two endpoint weights drop by 1 and the exceptional (-1)-sphere
         is inserted between them; smoothing afterwards loses exactly 5.
-        The coloring is not carried, since one side of the edge flips.
         """
         try:
             u, v = edge
@@ -253,11 +245,7 @@ class PlumbingGraph:
             raise PlumbingError(f"a vertex must be an integer, got {vertex!r}")
         if not 0 <= vertex < len(self.weights):
             raise PlumbingError(f"no vertex {vertex} to blow up")
-        out = self._blow_up((vertex,), self.edges.copy())
-        # the new leaf takes the color opposite its neighbour
-        if self._coloring is not None:
-            out._coloring = self._coloring + (-self._coloring[vertex],)
-        return out
+        return self._blow_up((vertex,), self.edges.copy())
 
     # -- smoothing ---------------------------------------------------------
 

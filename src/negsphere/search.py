@@ -32,6 +32,7 @@ from .fibration import (
     WORKED_EXAMPLES,  # re-exported
     FibrationSpec,
     ValidationError,
+    _fiber_names,
     _trivial_monodromy,
     betti,
     build_tree,
@@ -176,7 +177,8 @@ _BEST_ADJ = {name: min(o.adjusted_gain for o in options) for name, options in _O
 
 
 def _resolve_allowed(allowed) -> tuple[str, ...]:
-    names = tuple(sorted(set(DEFAULT_FIBERS if allowed is None else allowed), key=order_index))
+    names = DEFAULT_FIBERS if allowed is None else _fiber_names(allowed, "allowed")
+    names = tuple(sorted(set(names), key=order_index))
     if not names:
         raise ValueError("empty allowed fiber set")
     return names
@@ -246,10 +248,10 @@ def enumerate_specs(n: int, allowed=None):
     order); None walks the five (ab)-power types, ``DEFAULT_FIBERS``.
     Each multiset with Euler sum 12n is emitted exactly once, fibers in
     canonical order.  With only (ab)-power types the monodromy is
-    automatically (ab)^{6n} = 1; E7t, III and I1_nodal make the product
-    order-dependent, so with any of them allowed each candidate's
-    canonical-order word is multiplied and non-trivial products are
-    dropped.  Which check applies is settled once per call.
+    automatically (ab)^{6n} = 1; with E7t, III or I1_nodal allowed each
+    candidate's words are multiplied in canonical order, as ``validate``
+    does, and non-trivial products are dropped.  Which check applies is
+    settled once per call.
     """
     n, _ = as_nk(n)
     names = _resolve_allowed(allowed)

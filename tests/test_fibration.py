@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from negsphere import fibration
 from negsphere.cli import main
-from negsphere.fibers import catalog, fiber
+from negsphere.fibers import FIBER_ORDER, catalog, fiber
 from negsphere.fibration import (
     ASSUMED_REALIZABLE,
     FibrationSpec,
@@ -268,6 +268,34 @@ def test_validity_is_order_independent_for_ab_powers():
         validate(FibrationSpec(n=6, fibers=tuple(mixed)))
 
 
+def _verdict(fibers):
+    try:
+        validate(FibrationSpec(n=2, fibers=fibers))
+    except ValidationError:
+        return False
+    return True
+
+
+def test_validity_depends_on_the_multiset_only():
+    multisets = [fibers for size in range(1, 6)
+                 for fibers in itertools.combinations_with_replacement(FIBER_ORDER, size)
+                 if sum(fiber(name).euler for name in fibers) == 24]
+    assert len(multisets) == 56
+    orders = {fibers: set(itertools.permutations(fibers)) for fibers in multisets}
+    assert sum(map(len, orders.values())) == 1943
+    split = [fibers for fibers, listed in orders.items() if len(set(map(_verdict, listed))) != 1]
+    assert split == []
+
+    # two multisets, each listed out of canonical order and in it: the first
+    # builds in both orders, the second is rejected in both
+    for fibers in (("E8t", "E7t", "II_cusp", "III"), ("E8t", "E7t", "III", "II_cusp")):
+        graph, _ = build_tree(spec_of(2, *fibers), {2: "skip", 3: "skip"})
+        assert graph.smooth() == -70
+    for fibers in (("E8t", "E8t", "I1_nodal", "III"), ("E8t", "E8t", "III", "I1_nodal")):
+        with pytest.raises(ValidationError, match="not the identity"):
+            validate(spec_of(2, *fibers))
+
+
 def test_betti_values():
     assert betti(2, 0).b2 == 22
     assert betti(2, 6).b2 == 28
@@ -297,6 +325,18 @@ def test_spec_rejects_unknown_fiber():
 def test_spec_names_the_first_unknown_fiber_after_many_valid_ones():
     with pytest.raises(ValueError, match=r"^unknown fiber type 'X'; known: E8t, "):
         FibrationSpec(n=2, fibers=["E8t"] * 40 + ["X", "Y"])
+
+
+@pytest.mark.parametrize("call, what, value", [
+    (lambda value: best_sphere(2, 1, value), "allowed", "IV"),
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", "E8t"),
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", None),
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", 5),
+], ids=["allowed-str", "fibers-str", "fibers-none", "fibers-int"])
+def test_a_bare_name_or_a_non_collection_is_no_fiber_list(call, what, value):
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    assert str(caught.value) == f"{what} must be a collection of fiber names, got {value!r}"
 
 
 def test_spec_stores_a_list_of_names_as_a_tuple():

@@ -594,9 +594,9 @@ def test_checked_square_traverses_each_graph_once(monkeypatch):
     out = g.blow_up_edge((1, 2)).blow_up_edge((0, 1))  # stays a tree, coloring dropped
     assert checked_square(out) == out.smooth() == -30
     assert traversals == [4, 6]
-    pointed = out.blow_up_point_on_vertex(5)  # tree flag and coloring carried
+    pointed = out.blow_up_point_on_vertex(5)  # tree flag carried
     assert checked_square(pointed) == -34
-    assert traversals == [4, 6]
+    assert traversals == [4, 6, 7]
 
 
 def test_add_edge_to_a_missing_vertex_is_rejected():
