@@ -25,10 +25,10 @@ from .search import (
     MAX_N,
     BlowupPlan,
     NoSolutionError,
+    _spec_json_and_provenance,
     best_sphere,
     check_desk_scale,
     conjecture_check,
-    plan_provenance,
     replay_plan,
 )
 from .verify import run_battery
@@ -234,13 +234,13 @@ def _cmd_build(args) -> int:
         )
     graph = replay_plan(spec, plan)  # build_tree validates the spec
     square = checked_square(graph)
-    provenance = plan_provenance(spec, plan)  # the file's claim is not read
+    spec_json, provenance = _spec_json_and_provenance(spec, plan)  # the file's claim is not read
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:
         _print_json(
             {
-                "spec": spec.to_json_dict(),
+                "spec": spec_json,
                 "plan": plan.to_json_dict(),
                 "provenance": provenance,
                 "vertices": graph.vertex_count,

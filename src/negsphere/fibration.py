@@ -10,6 +10,7 @@ we assemble the plumbing tree: one section sphere of self-intersection
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,7 +44,12 @@ class FibrationSpec:
             object.__setattr__(self, "n", as_int(self.n, "spec 'n'"))
         if type(self.fibers) is not tuple:
             object.__setattr__(self, "fibers", _fiber_names(self.fibers, "spec 'fibers'"))
-        if not _NAMES.issuperset(self.fibers):
+        try:
+            known = _NAMES.issuperset(self.fibers)
+        except TypeError:  # an unhashable element of a tuple given as it is
+            known = False
+        if not known:
+            _fiber_names(self.fibers, "spec 'fibers'")  # raises for a name that is not a string
             for name in self.fibers:
                 fiber(name)  # raises, naming the first unknown type
 
@@ -51,7 +57,7 @@ class FibrationSpec:
     def provenance(self) -> str:
         """``paper_verified`` when the source builds on this fiber multiset
         (see ``documented_choices``), else ``assumed_realizable``."""
-        return ASSUMED_REALIZABLE if documented_choices(self) is None else PAPER_VERIFIED
+        return _provenance(documented_choices(self))
 
     def canonical(self) -> "FibrationSpec":
         """Same multiset of fibers, sorted in canonical order."""
@@ -61,7 +67,11 @@ class FibrationSpec:
         return sum(map(_EULER.__getitem__, self.fibers))
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "fibers": list(self.fibers), "provenance": self.provenance}
+        return self._json_dict(documented_choices(self))
+
+    def _json_dict(self, documented) -> dict:
+        """``to_json_dict``, given this spec's ``documented_choices``."""
+        return {"n": self.n, "fibers": list(self.fibers), "provenance": _provenance(documented)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationSpec":
@@ -78,10 +88,17 @@ class FibrationSpec:
         return cls(data["n"], fibers)
 
 
+def _provenance(documented) -> str:
+    return ASSUMED_REALIZABLE if documented is None else PAPER_VERIFIED
+
+
 def _fiber_names(value, what: str) -> tuple:
-    """``value`` as a tuple; a string or a non-iterable raises ValidationError."""
-    if hasattr(value, "__iter__") and not isinstance(value, str):
-        return tuple(value)
+    """``value`` as a tuple of strings; a string, a mapping, a non-iterable
+    or an element that is not a string raises ValidationError."""
+    if hasattr(value, "__iter__") and not isinstance(value, (str, Mapping)):
+        names = tuple(value)
+        if all(isinstance(name, str) for name in names):
+            return names
     raise ValidationError(f"{what} must be a collection of fiber names, got {value!r}")
 
 
@@ -221,10 +238,14 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
 
     graph = PlumbingGraph([-spec.n], labels=["section"],
                           trace=[{"op": "section", "n": spec.n, "vertex": 0}])
+    trace = graph.trace
+    defaults = {}  # per fiber type, looked up at its first fiber without a choice
     blowups = 0
 
     for i, name in enumerate(spec.fibers):
-        option = chosen.get(i) or fiber_option(spec, i)
+        option = chosen.get(i) or defaults.get(name)
+        if option is None:
+            option = defaults[name] = fiber_option(spec, i)
         fragment = option.fragment
         if fragment is None:
             continue
@@ -232,13 +253,13 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
         tree = fragment.graph
         offset = graph.add_tree(tree, [f"{name}[{i}].{lab}" for lab in tree.labels])
         graph.add_edge(0, offset + fragment.attachment)
-        graph.trace.append(
+        trace.append(
             {
                 "op": "attach_fiber",
                 "fiber": i,
                 "name": name,
                 "choice": "fragment" if option.choice == "use" else option.choice,
-                "vertices": [offset, graph.vertex_count - 1],
+                "vertices": [offset, offset + len(tree.weights) - 1],
                 "attached_at": offset + fragment.attachment,
                 "blowups": option.blowups,
             }

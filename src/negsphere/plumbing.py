@@ -19,6 +19,11 @@ two, and a rewrite carries the tree flag only (a blow-up keeps a tree a
 tree).  Cycles are rejected only when smoothing, not at construction
 time, leaving intermediate experiments unrestricted.
 
+An edge blow-up looks its edge up from the position where the edge
+blow-up that made the graph deleted its own (0 for a constructed graph),
+then wraps round to the front: a replay that walks the edges in list
+order never rescans the ones it has passed.
+
 A rewrite copies only the weights and the edges, which decide the
 smoothed square.  Its labels, exceptional flags and trace (provenance) are
 a log over an ancestor's lists (an input's own lists become its base too,
@@ -28,6 +33,8 @@ graph to its JSON, to another, so later edits never reach across a rewrite.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .inputs import as_int, is_int
 
@@ -59,7 +66,7 @@ def _json_copy(value):
 
 class PlumbingGraph:
     __slots__ = ("weights", "edges", "_labels", "_exceptional", "_trace", "_base", "_log",
-                 "_edge_set", "_tree", "_coloring")
+                 "_edge_set", "_tree", "_coloring", "_cut")
     __hash__ = None  # mutable, so not hashable
 
     # -- construction ------------------------------------------------------
@@ -79,6 +86,7 @@ class PlumbingGraph:
         self._trace = list(trace)
         self._base = self._log = None
         self._edge_set = self._tree = self._coloring = None
+        self._cut = 0
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -189,11 +197,13 @@ class PlumbingGraph:
 
     # -- rewrites ----------------------------------------------------------
 
-    def _blow_up(self, ends, edges) -> "PlumbingGraph":
+    def _blow_up(self, ends, edges, cut) -> "PlumbingGraph":
         """Blow up a point on the spheres ``ends``: each square drops by 1 and
         the new (-1)-sphere w meets each end once.  ``edges`` is a new list,
         the edges the output keeps; the output takes it, appends w's edges
         and carries the tree flag, since the new sphere keeps a tree a tree.
+        ``cut`` is where the output's next edge lookup starts: the position
+        an edge blow-up deleted its edge from, or a point blow-up's input's.
 
         Only weights and edges are copied: the output's provenance is an
         ancestor's lists (``_base``) then a link (previous, ends, w) per
@@ -211,6 +221,7 @@ class PlumbingGraph:
             self._base = (self._labels, self._exceptional, self._trace)
         out._base, out._log = self._base, (self._log, ends, w)
         out._edge_set, out._tree, out._coloring = None, self._tree, None
+        out._cut = cut
         return out
 
     def blow_up_edge(self, edge: tuple[int, int]) -> "PlumbingGraph":
@@ -218,6 +229,12 @@ class PlumbingGraph:
 
         The two endpoint weights drop by 1 and the exceptional (-1)-sphere
         is inserted between them; smoothing afterwards loses exactly 5.
+
+        The edge is looked up from the position where the edge blow-up that
+        made this graph deleted its own edge (0 for a constructed graph),
+        wrapping round to the front.  Edges are distinct, so the lookup
+        finds the one position a scan from the front would; a replay that
+        blows up edges in list order never rescans the edges it passed.
         """
         try:
             u, v = edge
@@ -226,13 +243,17 @@ class PlumbingGraph:
         if not (type(u) is int and type(v) is int):
             raise PlumbingError(f"edge ends must be integers, got ({u!r}, {v!r})")
         key = _edge_key(u, v)
+        start = self._cut
         try:
-            i = self.edges.index(key)
+            i = self.edges.index(key, start)
         except ValueError:
-            raise PlumbingError(f"no edge {key} to blow up") from None
+            try:
+                i = self.edges.index(key, 0, start)
+            except ValueError:
+                raise PlumbingError(f"no edge {key} to blow up") from None
         edges = self.edges.copy()
         del edges[i]
-        return self._blow_up(key, edges)
+        return self._blow_up(key, edges, i)
 
     def blow_up_point_on_vertex(self, vertex: int) -> "PlumbingGraph":
         """Blow up a generic point of one sphere.
@@ -245,7 +266,7 @@ class PlumbingGraph:
             raise PlumbingError(f"a vertex must be an integer, got {vertex!r}")
         if not 0 <= vertex < len(self.weights):
             raise PlumbingError(f"no vertex {vertex} to blow up")
-        return self._blow_up((vertex,), self.edges.copy())
+        return self._blow_up((vertex,), self.edges.copy(), self._cut)
 
     # -- smoothing ---------------------------------------------------------
 
@@ -394,9 +415,7 @@ def oracle_square(graph: PlumbingGraph, coloring) -> int:
     for i, c in enumerate(colors):
         if c not in (1, -1):
             raise PlumbingError(f"coloring entry {i} is {c}, expected +1 or -1")
-    total = 0
-    for i, w in enumerate(graph.weights):
-        total += w * colors[i] * colors[i]
+    total = sum(map(mul, graph.weights, map(mul, colors, colors)))
     for u, v in graph.edges:
         if colors[u] == colors[v]:
             raise PlumbingError(f"adjacent vertices {u}, {v} share a color")

@@ -6,7 +6,9 @@ Monodromy words are plain strings over {a, b} (positive twists only);
 they multiply out, left to right, to integer matrices of determinant 1.
 
 Entries must stay inside the signed 64-bit range; any step that would
-leave it raises instead of silently producing a huge number.
+leave it raises instead of silently producing a huge number.  A word is
+checked at checkpoints spaced by how far its entries are from the limit,
+which finds the same first step as a check after every letter.
 """
 
 from __future__ import annotations
@@ -108,18 +110,30 @@ def word_to_matrix(word: str) -> GroupElement:
     first, a column operation of determinant 1.  Every step keeps all four
     entries inside 64 bits, else OverflowError at the first step that
     leaves them; the returned ``GroupElement`` checks the determinant once.
+
+    The range is checked at checkpoints only.  A letter at most doubles
+    the largest |entry|, so after a checked step whose largest |entry| has
+    bit length b, the next 62 - b letters keep every entry below 2^62 and
+    need no check; the letter after them is checked.  So the first step
+    that leaves 64 bits is always a checked one.
     """
+    text = normalize_word(word)
     m11, m12, m21, m22 = 1, 0, 0, 1
-    for ch in normalize_word(word):
-        if ch == "a":
-            m12 += m11
-            m22 += m21
-        else:
-            m11 -= m12
-            m21 -= m22
+    start, end = 0, len(text)
+    while start < end:
+        bits = max(abs(m11), abs(m12), abs(m21), abs(m22)).bit_length()
+        stop = min(end, start + max(1, 63 - bits))  # 62 - bits unchecked, then one checked
+        for ch in text[start:stop]:
+            if ch == "a":
+                m12 += m11
+                m22 += m21
+            else:
+                m11 -= m12
+                m21 -= m22
         if not (INT64_MIN <= m11 <= INT64_MAX and INT64_MIN <= m12 <= INT64_MAX
                 and INT64_MIN <= m21 <= INT64_MAX and INT64_MIN <= m22 <= INT64_MAX):
             _check_int64((m11, m12, m21, m22))
+        start = stop
     return GroupElement(m11, m12, m21, m22)
 
 

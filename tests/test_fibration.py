@@ -339,6 +339,22 @@ def test_a_bare_name_or_a_non_collection_is_no_fiber_list(call, what, value):
     assert str(caught.value) == f"{what} must be a collection of fiber names, got {value!r}"
 
 
+@pytest.mark.parametrize("call, what, value", [
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", [["E8t"]]),
+    (lambda value: best_sphere(2, 1, value), "allowed", [["IV"]]),
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", {"E8t": 1}),
+    (lambda value: best_sphere(2, 1, value), "allowed", {"IV": 1}),
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", (["E8t"],)),
+    (lambda value: FibrationSpec(2, value), "spec 'fibers'", ("E8t", 5)),
+], ids=["fibers-nested-list", "allowed-nested-list", "fibers-mapping", "allowed-mapping",
+        "fibers-tuple-of-a-list", "fibers-tuple-with-an-int"])
+def test_a_mapping_or_a_name_that_is_no_string_is_no_fiber_list(call, what, value):
+    # a mapping is not read as its keys, and an unhashable name gives no bare TypeError
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    assert str(caught.value) == f"{what} must be a collection of fiber names, got {value!r}"
+
+
 def test_spec_stores_a_list_of_names_as_a_tuple():
     spec = FibrationSpec(n=2, fibers=["E8t", "E8t", "IV"])
     assert spec.fibers == ("E8t", "E8t", "IV") and type(spec.fibers) is tuple

@@ -713,3 +713,65 @@ def test_property_add_tree_then_rewrites_match_a_fresh_graph(host, tree, x, y):
     assert _state(out) == _state(_fresh(host).blow_up_point_on_vertex(vertex))
     assert checked_square(out) == checked_square(_fresh(out))
     assert checked_square(host) == checked_square(_fresh(host))
+
+
+# -- the edge lookup starts where the last edge blow-up cut ----------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(plumbing_trees(), st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), max_size=25))
+def test_property_resumed_edge_lookup_matches_a_fresh_graph(g, steps):
+    # a graph read back from JSON starts its lookup at position 0
+    for on_edge, pick in steps:
+        if on_edge and g.edges:
+            e = g.edges[pick % len(g.edges)]
+            out = g.blow_up_edge(e)
+            assert out == _fresh(g).blow_up_edge(e)
+        else:
+            out = g.blow_up_point_on_vertex(pick % g.vertex_count)
+        for e in g.edges:
+            assert g.blow_up_edge(e) == _fresh(g).blow_up_edge(e)
+        g = out
+
+
+def _cut_at_2():
+    """chain(-2, -2, -2, -2) with (2, 3) blown up: the lookup starts at position 2."""
+    g = chain(-2, -2, -2, -2).blow_up_edge((2, 3))
+    assert g.edges == [(0, 1), (1, 2), (2, 4), (3, 4)] and g._cut == 2
+    return g
+
+
+def test_resumed_lookup_past_the_end_of_the_edges():
+    g = _cut_at_2()
+    g.edges.pop()
+    g.edges.pop()
+    assert g.edges == [(0, 1), (1, 2)] and g._cut == len(g.edges)
+    for e in g.edges:
+        assert g.blow_up_edge(e) == _fresh(g).blow_up_edge(e)
+
+
+def test_resumed_lookup_wraps_round_to_an_edge_before_the_cut():
+    g = _cut_at_2()
+    out = g.blow_up_edge((0, 1))
+    assert out == _fresh(g).blow_up_edge((0, 1)) and out._cut == 0
+    assert out.edges == [(1, 2), (2, 4), (3, 4), (0, 5), (1, 5)]
+
+
+def test_resumed_lookup_after_add_edge_and_add_tree():
+    g = _cut_at_2()
+    offset = g.add_tree(chain(-3, -3), ["x", "y"])
+    g.add_edge(4, offset)
+    assert g._cut == 2 and g.blow_up_point_on_vertex(0)._cut == 2  # a point blow-up keeps it
+    for e in g.edges:
+        assert g.blow_up_edge(e) == _fresh(g).blow_up_edge(e)
+
+
+def test_resumed_lookup_names_a_missing_edge():
+    g = _cut_at_2()
+    for missing in ((0, 2), (2, 3), (4, 0)):
+        with pytest.raises(PlumbingError, match=rf"^no edge \({min(missing)}, {max(missing)}\) "
+                                                rf"to blow up$"):
+            g.blow_up_edge(missing)
+    g.edges.clear()
+    with pytest.raises(PlumbingError, match=r"^no edge \(0, 1\) to blow up$"):
+        g.blow_up_edge((0, 1))

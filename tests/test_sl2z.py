@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from negsphere import sl2z
 from negsphere.sl2z import GroupElement, IDENTITY, compose, generator, is_identity, word_to_matrix
@@ -176,3 +176,43 @@ def test_overflow_raised_partway_through_a_word_that_multiplies_to_one():
     for prefix in (word[:first], word):
         with pytest.raises(OverflowError, match="64-bit"):
             word_to_matrix(prefix)
+
+
+def _reference_fold(word):
+    """A per-letter fold with a range check after every letter: ("matrix",
+    rows), or ("overflow", message, letters read) at the first step that
+    leaves 64 bits, naming its first entry out of range."""
+    product = [[1, 0], [0, 1]]
+    for t, ch in enumerate(word, start=1):
+        product = mat_mul(product, mat_word(ch))
+        for x in product[0] + product[1]:
+            if not sl2z.INT64_MIN <= x <= sl2z.INT64_MAX:
+                return "overflow", f"matrix entry {x} exceeds the signed 64-bit range", t
+    return "matrix", product
+
+
+# powers of a few a^i b blocks, cut at 500 letters: most grow, at rates set
+# by the blocks, so the first step out of range falls at many different
+# places; some, like "ab" (of order 6), stay small
+_growing_words = st.builds(
+    lambda blocks, power: ("".join("a" * i + "b" for i in blocks) * power)[:500],
+    st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 125))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _growing_words,
+    _growing_words.map(lambda half: half + _positive_inverse(half)),  # grows, then comes back
+    st.text(alphabet="ab", max_size=500),
+))
+def test_property_fold_matches_a_per_letter_checked_fold(word):
+    want = _reference_fold(word)
+    if want[0] == "matrix":
+        assert word_to_matrix(word).to_lists() == want[1]
+        return
+    _, message, first = want
+    assert word_to_matrix(word[:first - 1]).to_lists() == mat_word(word[:first - 1])
+    for prefix in (word[:first], word):
+        with pytest.raises(OverflowError) as caught:
+            word_to_matrix(prefix)
+        assert str(caught.value) == message
