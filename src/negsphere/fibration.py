@@ -10,7 +10,7 @@ we assemble the plumbing tree: one section sphere of self-intersection
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -99,6 +99,8 @@ def _fiber_names(value, what: str) -> tuple:
         names = tuple(value)
         if all(isinstance(name, str) for name in names):
             return names
+        if isinstance(value, Iterator):  # spent: name what it held
+            value = names
     raise ValidationError(f"{what} must be a collection of fiber names, got {value!r}")
 
 

@@ -24,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import getitem
 
 from .fibers import AB_POWER_FIBERS, FIBER_ORDER, catalog, fiber, order_index
 from .fibration import (
@@ -194,40 +195,49 @@ def _iter_counts(eulers: tuple[int, ...], total: int, prune=None):
     by the expanded canonical fiber sequence (descending leading counts).
 
     ``prune(pos, remaining, counts)``, when given, is asked at every inner
-    node (counts[:pos] placed, ``remaining`` Euler sum left); a true answer
-    skips the node's subtree.  Leaves are not asked: the last type's count
-    is forced, so its parent's answer stands for the one leaf under it.
+    node (counts[:pos] placed, counts[pos:] zero, ``remaining`` Euler sum
+    left), the last type's included; a true answer skips the node's
+    subtree.  Leaves are not asked: the last type's count is forced, so its
+    parent's answer stands for the one leaf under it.
+
+    The walk is one loop in one generator frame: a recursive walk resumes a
+    nested frame per type for every vector.  ``counts`` is its stack: a node
+    takes the largest count that fits; backing up drops the deepest nonzero
+    count by one and gives its Euler number back to ``remaining``.
     """
     m = len(eulers)
+    last, e_last = m - 1, eulers[-1]
     counts = [0] * m
-
-    def walk(pos: int, remaining: int):
-        if pos == m:
-            yield tuple(counts)
-            return
-        if prune is not None and prune(pos, remaining, counts):
-            return
-        e = eulers[pos]
-        if pos == m - 1:
+    pos, remaining = 0, total
+    while True:
+        if prune is None or not prune(pos, remaining, counts):
+            if pos < last:
+                c = counts[pos] = remaining // eulers[pos]
+                remaining -= c * eulers[pos]
+                pos += 1
+                continue
             # the last type takes what is left, when its Euler number divides it
-            if remaining % e == 0:
-                counts[pos] = remaining // e
-                yield from walk(m, 0)
-                counts[pos] = 0
+            if remaining % e_last == 0:
+                counts[last] = remaining // e_last
+                yield tuple(counts)
+                counts[last] = 0
+        while pos:
+            pos -= 1
+            if counts[pos]:
+                counts[pos] -= 1
+                remaining += eulers[pos]
+                pos += 1
+                break
+        else:
             return
-        for c in range(remaining // e, -1, -1):
-            counts[pos] = c
-            yield from walk(pos + 1, remaining - c * e)
-        counts[pos] = 0
-
-    yield from walk(0, total)
 
 
-def _expand(names: tuple[str, ...], counts: tuple[int, ...]) -> tuple[str, ...]:
-    out: list[str] = []
-    for nm, c in zip(names, counts):
-        out.extend([nm] * c)
-    return tuple(out)
+def _fiber_join(names: tuple[str, ...], tops):
+    """``counts -> fibers`` for count vectors with counts[pos] <= tops[pos]:
+    one run per type, ``runs[pos][c] == (names[pos],) * c`` from a table
+    built once, joined, so a spec costs no per-fiber Python work."""
+    runs = [[(name,) * c for c in range(top + 1)] for name, top in zip(names, tops)]
+    return lambda counts: sum(map(getitem, runs, counts), ())
 
 
 def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
@@ -265,8 +275,9 @@ def enumerate_specs(n: int, allowed=None):
     names = _resolve_allowed(allowed)
     eulers = tuple(fiber(nm).euler for nm in names)
     ab_only = AB_POWER_FIBERS.issuperset(names)
+    join = _fiber_join(names, [12 * n // e for e in eulers])
     for counts in _iter_counts(eulers, 12 * n):
-        fibers = _expand(names, counts)
+        fibers = join(counts)
         if ab_only or _trivial_monodromy(fibers):
             yield FibrationSpec(n=n, fibers=fibers)
 
@@ -362,6 +373,7 @@ def _dfs_best(n, k, names):
         rates[pos] = min(rates[pos + 1], adj[pos] * (scale // eulers[pos]))
     partial = [(-n - 5 * k) * scale] + [0] * m  # scaled bound of counts[:pos]
     ab_only = AB_POWER_FIBERS.issuperset(names)
+    join = None if ab_only else _fiber_join(names, [12 * n // e for e in eulers])
     best = None
 
     def prune(pos, remaining, counts):
@@ -370,7 +382,7 @@ def _dfs_best(n, k, names):
         return best is not None and partial[pos] + rates[pos] * remaining >= best[0] * scale
 
     for counts in _iter_counts(eulers, 12 * n, prune):
-        if ab_only or _trivial_monodromy(_expand(names, counts)):
+        if ab_only or _trivial_monodromy(join(counts)):
             value, plan = _best_plan_for_counts(n, k, names, counts)
             if best is None or value < best[0]:
                 best = (value, counts, plan)
@@ -454,7 +466,7 @@ def best_sphere(
     value, counts, plan_counts = found
 
     plan = _plan_from_counts(names, plan_counts)
-    spec = FibrationSpec(n=n, fibers=_expand(names, counts))
+    spec = FibrationSpec(n=n, fibers=_fiber_join(names, counts)(counts))
     graph = replay_plan(spec, plan, k=k)
     square = checked_square(graph)
     if square != value:

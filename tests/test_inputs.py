@@ -13,10 +13,12 @@ import json
 import math
 from collections.abc import Hashable
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from negsphere.fibration import (
     FibrationSpec,
+    ValidationError,
     betti,
     build_tree,
     reference_decomposition,
@@ -132,3 +134,19 @@ def test_every_entry_point_reads_numbers_by_the_integer_rule(site, value):
         assert kind != "ok", f"{site} took {value!r}: {text}"
     else:
         assert (kind, text) == _outcome(site, as_int)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FibrationSpec(2, (x for x in [["E8t"]])),
+     "spec 'fibers' must be a collection of fiber names, got (['E8t'],)"),
+    (lambda: best_sphere(2, 1, (x for x in [["IV"]])),
+     "allowed must be a collection of fiber names, got (['IV'],)"),
+    (lambda: list(enumerate_specs(2, iter([3]))),
+     "allowed must be a collection of fiber names, got (3,)"),
+], ids=["spec-generator", "best_sphere-generator", "enumerate_specs-iterator"])
+def test_a_bad_iterator_is_named_by_what_it_held(call, message):
+    # the iterator is spent by the time the message is built, so its repr
+    # would hide the bad name
+    with pytest.raises(ValidationError) as caught:
+        call()
+    assert str(caught.value) == message

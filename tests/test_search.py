@@ -131,6 +131,86 @@ def test_extended_enumeration_is_a_per_spec_monodromy_filter(n):
     assert list(enumerate_specs(n, names)) == expected
 
 
+def recursive_iter_counts(eulers, total, prune=None):
+    """The recursive walk ``search._iter_counts`` replaced, kept as its
+    reference: one nested generator frame per placed type."""
+    m = len(eulers)
+    counts = [0] * m
+
+    def walk(pos, remaining):
+        if pos == m:
+            yield tuple(counts)
+            return
+        if prune is not None and prune(pos, remaining, counts):
+            return
+        e = eulers[pos]
+        if pos == m - 1:
+            if remaining % e == 0:
+                counts[pos] = remaining // e
+                yield from walk(m, 0)
+                counts[pos] = 0
+            return
+        for c in range(remaining // e, -1, -1):
+            counts[pos] = c
+            yield from walk(pos + 1, remaining - c * e)
+        counts[pos] = 0
+
+    yield from walk(0, total)
+
+
+def list_expand(names, counts):
+    out = []
+    for name, c in zip(names, counts):
+        out.extend([name] * c)
+    return tuple(out)
+
+
+def walk_log(walk, eulers, total, divisor):
+    """The vectors a walk yields and the prune calls it makes, by a prune
+    that answers from a hash of its arguments (none when ``divisor`` is None)."""
+    calls = []
+
+    def prune(pos, remaining, counts):
+        calls.append((pos, remaining, tuple(counts)))
+        return hash((pos, remaining, tuple(counts))) % divisor == 0
+
+    vectors = list(walk(eulers, total, None if divisor is None else prune))
+    return vectors, calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eulers=st.sets(st.integers(1, 12), min_size=1, max_size=6).map(
+        lambda values: tuple(sorted(values, reverse=True))),
+    total=st.integers(0, 120),
+    divisor=st.none() | st.integers(2, 7),
+)
+def test_the_flat_walk_yields_and_prunes_as_the_recursive_walk(eulers, total, divisor):
+    assert walk_log(search._iter_counts, eulers, total, divisor) == walk_log(
+        recursive_iter_counts, eulers, total, divisor)
+
+
+def test_a_walk_pruned_at_its_root_yields_nothing():
+    calls = []
+    assert list(search._iter_counts((10, 8, 6, 4, 2), 24, lambda *node: calls.append(node) or True)) == []
+    assert calls == [(0, 24, [0] * 5)]
+
+
+def reference_specs(n, names):
+    eulers = tuple(fiber(name).euler for name in names)
+    fibers = (list_expand(names, counts) for counts in recursive_iter_counts(eulers, 12 * n))
+    return [FibrationSpec(n, f) for f in fibers if _trivial_monodromy(f)]
+
+
+@pytest.mark.parametrize("n, names", [
+    *(pytest.param(n, search.DEFAULT_FIBERS, id=f"default-{n}") for n in range(2, 13)),
+    *(pytest.param(n, FIBER_ORDER, id=f"all-types-{n}") for n in range(2, 6)),
+])
+def test_enumerate_specs_joins_the_specs_of_the_reference_walk(n, names):
+    allowed = None if names == search.DEFAULT_FIBERS else names
+    assert list(enumerate_specs(n, allowed)) == reference_specs(n, names)
+
+
 def test_enumerate_specs_rejects_empty_set():
     with pytest.raises(ValueError, match="empty"):
         list(enumerate_specs(2, allowed=()))
