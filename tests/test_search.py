@@ -192,7 +192,12 @@ def test_the_flat_walk_yields_and_prunes_as_the_recursive_walk(eulers, total, di
 
 def test_a_walk_pruned_at_its_root_yields_nothing():
     calls = []
-    assert list(search._iter_counts((10, 8, 6, 4, 2), 24, lambda *node: calls.append(node) or True)) == []
+
+    def prune(*node):
+        calls.append(node)
+        return True
+
+    assert list(search._iter_counts((10, 8, 6, 4, 2), 24, prune)) == []
     assert calls == [(0, 24, [0] * 5)]
 
 
