@@ -6,10 +6,11 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
 
-from .fibers import FIBER_ORDER, FiberOption, catalog, catalog_json, fiber
+from .fibers import FIBER_ORDER, catalog, catalog_json, fiber
 from .fibration import (
     FibrationSpec,
     ValidationError,
@@ -25,10 +26,10 @@ from .search import (
     MAX_N,
     BlowupPlan,
     NoSolutionError,
-    _spec_json_and_provenance,
     best_sphere,
     check_desk_scale,
     conjecture_check,
+    plan_provenance,
     replay_plan,
 )
 from .verify import run_battery
@@ -194,13 +195,8 @@ def _cmd_formula(args) -> int:
 
 
 def _spec_summary(spec: FibrationSpec) -> str:
-    seen: list[str] = []
-    parts = []
-    for name in spec.fibers:
-        if name not in seen:
-            seen.append(name)
-            parts.append(f"{spec.fibers.count(name)} x {name}")
-    return " + ".join(parts) if parts else "(no fibers)"
+    counts = Counter(spec.fibers)  # first-seen order
+    return " + ".join(f"{count} x {name}" for name, count in counts.items()) or "(no fibers)"
 
 
 def _unique_keys(pairs) -> dict:
@@ -234,13 +230,13 @@ def _cmd_build(args) -> int:
         )
     graph = replay_plan(spec, plan)  # build_tree validates the spec
     square = checked_square(graph)
-    spec_json, provenance = _spec_json_and_provenance(spec, plan)  # the file's claim is not read
+    provenance = plan_provenance(spec, plan)  # the file's claim is not read
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:
         _print_json(
             {
-                "spec": spec_json,
+                "spec": spec.to_json_dict(),
                 "plan": plan.to_json_dict(),
                 "provenance": provenance,
                 "vertices": graph.vertex_count,
@@ -263,11 +259,11 @@ def _running_totals(result) -> str:
     spec, plan = result.spec, result.plan
     total = -spec.n
     steps = [f"section {total}"]
-    groups: dict[tuple[str, FiberOption], int] = {}
+    groups = Counter()  # (name, option) in first-seen order
     for i, name in enumerate(spec.fibers):
         option = fiber_option(spec, i, plan.resolutions.get(i))
         if option.fragment is not None:
-            groups[(name, option)] = groups.get((name, option), 0) + 1
+            groups[name, option] += 1
     for (name, option), count in groups.items():
         total += option.contribution * count
         verb = {"resolve": " resolved", "replace": " replaced"}.get(option.choice, "")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .inputs import as_int
 from .plumbing import PlumbingGraph
 from .sl2z import normalize_word
 
@@ -31,6 +32,9 @@ class PlumbingFragment:
     attachment: int
 
     def __post_init__(self) -> None:
+        if type(self.attachment) is not int:
+            object.__setattr__(self, "attachment",
+                               as_int(self.attachment, "attachment vertex", ValueError))
         if not self.graph.is_tree():
             raise ValueError("fragment is not a connected tree")
         if not 0 <= self.attachment < self.graph.vertex_count:

@@ -57,7 +57,7 @@ class FibrationSpec:
     def provenance(self) -> str:
         """``paper_verified`` when the source builds on this fiber multiset
         (see ``documented_choices``), else ``assumed_realizable``."""
-        return _provenance(documented_choices(self))
+        return ASSUMED_REALIZABLE if documented_choices(self) is None else PAPER_VERIFIED
 
     def canonical(self) -> "FibrationSpec":
         """Same multiset of fibers, sorted in canonical order."""
@@ -67,11 +67,7 @@ class FibrationSpec:
         return sum(map(_EULER.__getitem__, self.fibers))
 
     def to_json_dict(self) -> dict:
-        return self._json_dict(documented_choices(self))
-
-    def _json_dict(self, documented) -> dict:
-        """``to_json_dict``, given this spec's ``documented_choices``."""
-        return {"n": self.n, "fibers": list(self.fibers), "provenance": _provenance(documented)}
+        return {"n": self.n, "fibers": list(self.fibers), "provenance": self.provenance}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationSpec":
@@ -86,10 +82,6 @@ class FibrationSpec:
         if claim not in (PAPER_VERIFIED, ASSUMED_REALIZABLE):
             raise ValidationError(f"unknown provenance {claim!r}")
         return cls(data["n"], fibers)
-
-
-def _provenance(documented) -> str:
-    return ASSUMED_REALIZABLE if documented is None else PAPER_VERIFIED
 
 
 def _fiber_names(value, what: str) -> tuple:

@@ -368,9 +368,9 @@ class PlumbingGraph:
                     f"trace record {i} must be a JSON object, got {type(rec).__name__}")
         return cls(weights, edges, labels, flags, [dict(rec) for rec in trace])
 
-    def to_dot(self, name: str = "plumbing") -> str:
+    def to_dot(self) -> str:
         """Graphviz text; vertex label = weight, blow-up vertices boxed."""
-        return dot_graph(name, [("v", self.weights, self.edges, self.exceptional)])
+        return dot_graph("plumbing", [("v", self.weights, self.edges, self.exceptional)])
 
 
 def dot_graph(name: str, components) -> str:
@@ -406,15 +406,18 @@ def oracle_square(graph: PlumbingGraph, coloring) -> int:
     With v the vector of coloring signs and Q the intersection matrix
     (diagonal = weights, one off-diagonal 1 per edge), returns v^T Q v.
     Independent of ``smooth``: no tree structure is assumed, only a valid
-    proper coloring.
+    proper coloring.  Entries follow the package's integer rule; the checks
+    run in C on a coloring of ints, as ``checked_square`` passes.
     """
     colors = tuple(coloring)
     n = graph.vertex_count
     if len(colors) != n:
         raise PlumbingError(f"coloring has {len(colors)} entries for {n} vertices")
-    for i, c in enumerate(colors):
-        if c not in (1, -1):
-            raise PlumbingError(f"coloring entry {i} is {c}, expected +1 or -1")
+    if not {*map(type, colors)} <= {int}:
+        colors = tuple(as_int(c, f"coloring entry {i}", PlumbingError) for i, c in enumerate(colors))
+    if colors.count(1) + colors.count(-1) != n:
+        i = next(i for i, c in enumerate(colors) if c not in (1, -1))
+        raise PlumbingError(f"coloring entry {i} is {colors[i]}, expected +1 or -1")
     total = sum(map(mul, graph.weights, map(mul, colors, colors)))
     for u, v in graph.edges:
         if colors[u] == colors[v]:

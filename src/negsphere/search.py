@@ -153,16 +153,15 @@ class SearchResult:
         return [] if self.graph is None else self.graph.trace
 
     def to_json_dict(self) -> dict:
-        spec, provenance = _spec_json_and_provenance(self.spec, self.plan)
         ratio = self.ratio
         return {
             "n": self.n,
             "k": self.k,
             "best_square": self.best_square,
-            "spec": spec,
+            "spec": self.spec.to_json_dict(),
             "plan": self.plan.to_json_dict(),
             "ratio": {"num": ratio.numerator, "den": ratio.denominator},
-            "provenance": provenance,
+            "provenance": self.provenance,
             "trace": [_json_copy(rec) for rec in self.trace],
         }
 
@@ -242,21 +241,16 @@ def _fiber_join(names: tuple[str, ...], tops):
 
 def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
     """``paper_verified`` when the source builds on the fiber multiset of
-    ``spec`` (see ``fibration.documented_choices``) and every fiber takes
-    a choice the source makes there, else ``assumed_realizable``.  Fibers
-    may be listed in any order."""
-    return _spec_json_and_provenance(spec, plan)[1]
-
-
-def _spec_json_and_provenance(spec: FibrationSpec, plan: BlowupPlan) -> tuple[dict, str]:
-    """``spec.to_json_dict()`` and ``plan_provenance(spec, plan)`` from one
-    ``documented_choices`` call: a search result and ``build`` write both."""
+    ``spec`` and every fiber takes a choice the source makes there, else
+    ``assumed_realizable``.  Fibers may be listed in any order.  This and
+    ``FibrationSpec.provenance`` are the two readers of
+    ``fibration.documented_choices``."""
     documented = documented_choices(spec)
     on_pattern = documented is not None and all(
         (name, fiber_option(spec, i, plan.resolutions.get(i)).choice) in documented
         for i, name in enumerate(spec.fibers)
     )
-    return spec._json_dict(documented), PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
+    return PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
 
 
 def enumerate_specs(n: int, allowed=None):

@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import gc
+import io
 import json
 import math
 import time
@@ -391,6 +393,54 @@ def test_build_repeated_json_key_exits_2_with_one_line(tmp_path, capsys, spec_te
     assert out == ""
     assert message in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+_JUNK = (st.none() | st.booleans() | st.integers(-2, 60) | st.floats()
+         | st.sampled_from(["", "2", "use", "E8t "]))
+_FILE_VALUES = st.recursive(
+    _JUNK, lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3), max_leaves=6)
+# valid multisets in any order, so that many files reach the tree builder
+_VALID_SPECS = st.sampled_from(
+    [(row.n, row.fibers) for row in WORKED_EXAMPLES if row.fibers]
+    + [(n, fibration.reference_decomposition(n).fibers) for n in range(2, 8)]
+).flatmap(lambda nf: st.permutations(nf[1]).map(lambda fibers: {"n": nf[0], "fibers": fibers}))
+_SPECS = _FILE_VALUES | _VALID_SPECS | st.fixed_dictionaries({}, optional={
+    "n": st.integers(-1, 40) | _JUNK,
+    "fibers": st.lists(st.sampled_from(FIBER_ORDER) | _JUNK, max_size=12) | _JUNK,
+    "provenance": st.sampled_from(["paper_verified", "assumed_realizable"]) | _JUNK,
+})
+_PLANS = st.none() | st.builds(BlowupPlan, edge_blowups=st.integers(0, 3)).map(
+    BlowupPlan.to_json_dict) | _FILE_VALUES | st.fixed_dictionaries({}, optional={
+    "resolutions": st.dictionaries(st.integers(-1, 12).map(str) | st.text(max_size=2),
+                                   st.sampled_from(["use", "resolve", "replace", "skip"]) | _JUNK,
+                                   max_size=3) | _JUNK,
+    "edge_blowups": st.integers(-1, 60) | _JUNK,
+    "point_blowups": st.integers(-1, 60) | _JUNK,
+})
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=_SPECS, plan=_PLANS, as_json=st.booleans())
+def test_build_on_any_json_files_exits_0_or_2_with_one_error_line(tmp_path_factory, spec, plan,
+                                                                  as_json):
+    folder = tmp_path_factory.mktemp("build")
+    spec_file = folder / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    argv = ["build", str(spec_file)] + ["--json"] * as_json
+    if plan is not None:
+        plan_file = folder / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        argv += ["--plan", str(plan_file)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert out.getvalue() and err.getvalue() == ""
+    else:
+        assert code == 2, (code, err.getvalue())
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -179,8 +179,8 @@ def test_catalog_json_legacy_keys_repeat_the_use_and_resolve_options():
 
 
 def test_fragment_dot_output():
-    text = fiber("I0star").option("use").fragment.graph.to_dot("d4")
-    assert text.startswith("graph d4 {")
+    text = fiber("I0star").option("use").fragment.graph.to_dot()
+    assert text.startswith("graph plumbing {")
     assert '[label="-2"]' in text
     assert "--" in text
 

@@ -23,7 +23,8 @@ from negsphere.fibration import (
     build_tree,
     reference_decomposition,
 )
-from negsphere.plumbing import PlumbingGraph
+from negsphere.fibers import PlumbingFragment
+from negsphere.plumbing import PlumbingGraph, oracle_square
 from negsphere.search import (
     BlowupPlan,
     best_sphere,
@@ -53,6 +54,10 @@ _SITES = {
     "PlumbingGraph weight": lambda v: PlumbingGraph([v, -2], [(0, 1)]).to_json_dict(),
     "PlumbingGraph.from_json_dict weight":
         lambda v: PlumbingGraph.from_json_dict({"vertices": [{"weight": v}]}).to_json_dict(),
+    "oracle_square coloring entry":
+        lambda v: oracle_square(PlumbingGraph([-2, -3], [(0, 1)]), [v, -1]),
+    "PlumbingFragment attachment":
+        lambda v: PlumbingFragment(PlumbingGraph([-2, -2], [(0, 1)]), v).to_json_dict(),
     "GroupElement diagonal": lambda v: GroupElement(v, 0, 0, v).to_lists(),
     "GroupElement corner": lambda v: GroupElement(1, v, 0, 1).to_lists(),
     "GroupElement.from_lists corner":
@@ -108,6 +113,11 @@ def _outcome(site, value):
 @example(site="PlumbingGraph weight", value=1.9)
 @example(site="PlumbingGraph weight", value="3")
 @example(site="PlumbingGraph weight", value=True)
+@example(site="oracle_square coloring entry", value=1.0)
+@example(site="oracle_square coloring entry", value=True)
+@example(site="PlumbingFragment attachment", value=1.5)
+@example(site="PlumbingFragment attachment", value=True)
+@example(site="PlumbingFragment attachment", value="1")
 @example(site="GroupElement diagonal", value=1.0)
 @example(site="GroupElement corner", value=0.0)
 @example(site="best_sphere k", value=True)

@@ -1,3 +1,4 @@
+import ast
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,3 +45,15 @@ def test_readme_library_example_runs_as_documented():
     for line, note, expression, value in LIBRARY_CLAIMS:
         assert comments[line].startswith(note), line
         assert eval(expression, namespace) == value, line
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # the command line reads the library through its public names only
+    source = Path(negsphere.__file__).with_name("cli.py").read_text()
+    private = [
+        (node.level * "." + (node.module or ""), alias.name)
+        for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "negsphere")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert private == []
