@@ -223,16 +223,16 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     value is independent of this choice).
 
     Returns the tree and the number of blow-ups consumed by resolutions
-    and replacements.
+    and replacements.  Only weights and edges are built here: the tree's
+    labels, flags and trace are ``_provenance``'s, made on their first read.
     """
     validate(spec)
     # every resolution is checked before the first fragment is placed
     resolutions = {} if resolutions is None else json_object(resolutions, "resolutions")
     chosen = {i: fiber_option(spec, i, choice) for i, choice in resolutions.items()}
 
-    graph = PlumbingGraph([-spec.n], labels=["section"],
-                          trace=[{"op": "section", "n": spec.n, "vertex": 0}])
-    trace = graph.trace
+    placed = []  # (fiber index, option, offset) per attached fragment
+    graph = PlumbingGraph._deferred([-spec.n], lambda: _provenance(spec, placed))
     defaults = {}  # per fiber type, looked up at its first fiber without a choice
     blowups = 0
 
@@ -243,24 +243,29 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
         fragment = option.fragment
         if fragment is None:
             continue
-
-        tree = fragment.graph
-        offset = graph.add_tree(tree, [f"{name}[{i}].{lab}" for lab in tree.labels])
+        offset = graph._append(fragment.graph)
         graph.add_edge(0, offset + fragment.attachment)
-        trace.append(
-            {
-                "op": "attach_fiber",
-                "fiber": i,
-                "name": name,
-                "choice": "fragment" if option.choice == "use" else option.choice,
-                "vertices": [offset, offset + len(tree.weights) - 1],
-                "attached_at": offset + fragment.attachment,
-                "blowups": option.blowups,
-            }
-        )
+        placed.append((i, option, offset))
         blowups += option.blowups
 
     return graph, blowups
+
+
+def _provenance(spec: FibrationSpec, placed) -> tuple[list, list, list]:
+    """The labels, exceptional flags and trace of the tree ``build_tree``
+    assembled from ``placed``, its (fiber index, option, offset) triples."""
+    labels, flags = ["section"], [False]
+    trace = [{"op": "section", "n": spec.n, "vertex": 0}]
+    for i, option, offset in placed:
+        name, fragment = spec.fibers[i], option.fragment
+        tree = fragment.graph
+        labels += [f"{name}[{i}].{lab}" for lab in tree.labels]
+        flags += tree.exceptional
+        trace.append({"op": "attach_fiber", "fiber": i, "name": name,
+                      "choice": "fragment" if option.choice == "use" else option.choice,
+                      "vertices": [offset, offset + len(tree.weights) - 1],
+                      "attached_at": offset + fragment.attachment, "blowups": option.blowups})
+    return labels, flags, trace
 
 
 def construction_square(n: int) -> int:

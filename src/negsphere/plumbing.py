@@ -26,8 +26,11 @@ order never rescans the ones it has passed.
 
 A rewrite copies only the weights and the edges, which decide the
 smoothed square.  Its labels, exceptional flags and trace (provenance) are
-a log over an ancestor's lists (an input's own lists become its base too,
-under an empty log), built into lists on first read and cached.  Trace
+a log over a base, built into lists on first read and cached.  A base is
+an ancestor's lists (an input's own lists become its base too, under an
+empty log) or a function making fresh ones: ``fibration.build_tree``
+appends weights and edges only and leaves such a recipe as its tree's
+base, so a tree that is replayed and never read formats no label.  Trace
 records (dicts) are copied wherever they cross from one graph, or from a
 graph to its JSON, to another, so later edits never reach across a rewrite.
 """
@@ -41,10 +44,6 @@ from .inputs import as_int, is_int
 
 class PlumbingError(ValueError):
     """A plumbing operation was applied outside its domain."""
-
-
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
 
 
 def _json_list(data: dict, key: str) -> list:
@@ -102,7 +101,7 @@ class PlumbingGraph:
             raise PlumbingError(f"edge ({u}, {v}) references a missing vertex")
         if u == v:
             raise PlumbingError("self-loops are not allowed")
-        key = _edge_key(u, v)
+        key = (u, v) if u <= v else (v, u)
         if self._edge_set is None:
             self._edge_set = set(self.edges)
         if key in self._edge_set:
@@ -112,28 +111,40 @@ class PlumbingGraph:
         self._tree = self._coloring = None
 
     def add_tree(self, tree: "PlumbingGraph", labels) -> int:
-        """Append a copy of ``tree`` as a block and return the index its
-        first vertex takes: weights, exceptional flags and edges (shifted by
-        that offset) come from ``tree``, labels from ``labels``, and the
-        trace is left alone.  The edges are not checked one by one, since a
-        tree's edges are in range, loop-free and distinct, and an offset
-        keeps them so."""
+        """Append a copy of ``tree`` as a block (see ``_append``) and return
+        the index its first vertex takes: labels come from ``labels``,
+        exceptional flags from ``tree``, and the trace is left alone."""
         labels = list(labels)
         if len(labels) != len(tree.weights):
             raise PlumbingError(f"{len(labels)} labels for a tree of {len(tree.weights)} vertices")
+        own_labels, own_flags, _ = self._own()
+        offset = self._append(tree)
+        own_labels += labels
+        own_flags += tree.exceptional
+        return offset
+
+    def _append(self, tree: "PlumbingGraph") -> int:
+        """Append ``tree``'s weights and edges, these shifted by the index its
+        first vertex takes, and return that index; provenance is left alone.
+        A tree's edges are in range, loop-free and distinct, and stay so."""
         if not tree.is_tree():
             raise PlumbingError("add_tree takes a connected tree")
         offset = len(self.weights)
         edges = [(u + offset, v + offset) for u, v in tree.edges]
-        own_labels, own_flags, _ = self._own()
         self.weights += tree.weights
-        own_labels += labels
-        own_flags += tree.exceptional
         self.edges += edges
         if self._edge_set is not None:
             self._edge_set.update(edges)
         self._tree = self._coloring = None
         return offset
+
+    @classmethod
+    def _deferred(cls, weights, provenance) -> "PlumbingGraph":
+        """A graph of ``weights`` and no edges whose labels, flags and trace
+        are those ``provenance()`` returns, called on their first read."""
+        graph = cls(weights)
+        graph._base = provenance
+        return graph
 
     # -- provenance: labels, exceptional flags and trace ---------------------
 
@@ -143,21 +154,26 @@ class PlumbingGraph:
 
     def _own(self) -> tuple[list, list, list]:
         """The labels, flags and trace lists, this graph's own to hand out and
-        edit, built from the base and the log on first use (by a loop: a log
-        may be thousands of links long, or empty).  The trace records are
-        copied too, since the base's are shared with every graph that reads it."""
+        edit, built on first use from the log (by a loop: a log may be
+        thousands of links long, or empty) over the base: a function's fresh
+        lists, or an ancestor's, copied with the trace records they share."""
         if self._base is not None:
-            (labels, flags, trace), link, links = self._base, self._log, []
+            base, link, links = self._base, self._log, []
             while link is not None:
                 links.append(link)
                 link = link[0]
             links.reverse()  # oldest blow-up first
-            self._labels = labels + [f"e{w}" for _, _, w in links]
-            self._exceptional = flags + [True] * len(links)
-            self._trace = [_json_copy(rec) for rec in trace] + [
+            if callable(base):
+                labels, flags, trace = base()
+            else:
+                labels, flags, trace = base[0] + [], base[1] + [], [_json_copy(r) for r in base[2]]
+            labels += [f"e{w}" for _, _, w in links]
+            flags += [True] * len(links)
+            trace += [
                 {"op": "blow_up_edge", "edge": list(ends), "new_vertex": w} if len(ends) == 2
                 else {"op": "blow_up_point", "vertex": ends[0], "new_vertex": w}
                 for _, ends, w in links]
+            self._labels, self._exceptional, self._trace = labels, flags, trace
             self._base = self._log = None
         return self._labels, self._exceptional, self._trace
 
@@ -242,7 +258,7 @@ class PlumbingGraph:
             raise PlumbingError(f"an edge must be two ends, got {edge!r}") from None
         if not (type(u) is int and type(v) is int):
             raise PlumbingError(f"edge ends must be integers, got ({u!r}, {v!r})")
-        key = _edge_key(u, v)
+        key = (u, v) if u <= v else (v, u)
         start = self._cut
         try:
             i = self.edges.index(key, start)

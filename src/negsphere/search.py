@@ -88,9 +88,11 @@ class BlowupPlan:
             object.__setattr__(self, what, count)
         resolutions = {as_int(i, "plan resolution index"): c
                        for i, c in json_object(self.resolutions, "plan 'resolutions'").items()}
-        for i in resolutions:
+        for i, choice in resolutions.items():
             if i < 0:
                 raise ValidationError(f"resolution fiber index must be >= 0, got {i}")
+            if not isinstance(choice, str):
+                raise ValidationError(f"plan choice for fiber {i} must be a string, got {choice!r}")
         object.__setattr__(self, "resolutions", resolutions)
 
     def __hash__(self) -> int:
@@ -118,7 +120,7 @@ class BlowupPlan:
             i = json_key_int(key, "plan resolution index")
             if i in resolutions:
                 raise ValidationError(f"plan resolution index {i} is given twice (as {key!r})")
-            resolutions[i] = str(choice)
+            resolutions[i] = choice
         return cls(resolutions, data.get("edge_blowups", 0), data.get("point_blowups", 0))
 
 

@@ -352,6 +352,9 @@ def test_exit_codes_stable(capsys):
     (K3_IV, {"resolutions": {"-1": "skip"}}, "resolution fiber index must be >= 0, got -1"),
     (K3_IV, {"resolutions": {"2": "resolve", "02": "skip"}},
      "plan resolution index 2 is given twice (as '02')"),
+    (K3_IV, {"resolutions": {"2": None}}, "plan choice for fiber 2 must be a string, got None"),
+    (K3_IV, {"resolutions": {"2": ["resolve"]}},
+     "plan choice for fiber 2 must be a string, got ['resolve']"),
 ])
 def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
     spec_file = tmp_path / "spec.json"

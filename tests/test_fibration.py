@@ -443,3 +443,47 @@ def test_build_tree_matches_an_assembly_one_vertex_at_a_time():
         expected = _assembled(spec, resolutions)
         assert graph.to_json_dict() == expected.to_json_dict(), (spec, resolutions)
         assert graph.smooth() == expected.smooth() == oracle_square(graph, graph.two_coloring())
+
+
+def _rewritten(graph, edge_blowups=3):
+    """``graph`` after a point blow-up on the section and ``edge_blowups``
+    blow-ups of the section's smallest edge, none of which reads provenance."""
+    graph = graph.blow_up_point_on_vertex(0)
+    for _ in range(edge_blowups):
+        graph = graph.blow_up_edge(min(e for e in graph.edges if e[0] == 0))
+    return graph
+
+
+def test_build_tree_provenance_read_first_after_rewrites_matches_the_assembly():
+    for spec, resolutions in _equivalence_cases():
+        tree, _ = build_tree(spec, resolutions)
+        rewritten = _rewritten(tree)
+        expected = _assembled(spec, resolutions)
+        assert rewritten.to_json_dict() == _rewritten(expected).to_json_dict(), (spec, resolutions)
+        # each graph makes its own records: edits to the first one read reach no other
+        rewritten.trace[0]["op"] = "edited"
+        rewritten.labels[0] = "edited"
+        assert tree.to_json_dict() == expected.to_json_dict(), (spec, resolutions)
+        assert _rewritten(tree).to_json_dict() == _rewritten(expected).to_json_dict()
+
+
+def test_a_search_formats_no_label_until_the_winner_labels_are_read(monkeypatch):
+    fragments = {id(o.fragment.graph) for t in catalog() for o in t.options if o.fragment}
+    reads = []
+    labels = PlumbingGraph.labels
+
+    def counted(graph):
+        if id(graph) in fragments:
+            reads.append(id(graph))
+        return labels.fget(graph)
+
+    monkeypatch.setattr(PlumbingGraph, "labels", property(counted))
+    result = best_sphere(30, 50)
+    assert reads == []
+    read = result.graph.labels
+    attached = [rec for rec in result.trace if rec["op"] == "attach_fiber"]
+    assert len(reads) == len(attached) > 0
+    built = _assembled(result.spec, result.plan.resolutions)
+    added = range(built.vertex_count, result.graph.vertex_count)
+    assert read == built.labels + [f"e{w}" for w in added]
+    assert result.graph.exceptional == built.exceptional + [True] * len(added)

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -554,6 +555,15 @@ def test_resolutions_must_be_a_dict():
         BlowupPlan(resolutions=[(0, "use")])
     with pytest.raises(ValidationError, match=r"^resolutions must be a JSON object, got list$"):
         build_tree(reference_decomposition(2), [(0, "use")])
+
+
+@pytest.mark.parametrize("choice", [None, ["resolve"], 2, b"resolve"])
+def test_plan_choices_must_be_strings(choice):
+    message = f"^plan choice for fiber 2 must be a string, got {re.escape(repr(choice))}$"
+    with pytest.raises(ValidationError, match=message):
+        BlowupPlan({2: choice})
+    with pytest.raises(ValidationError, match=message):
+        BlowupPlan.from_json_dict({"resolutions": {"2": choice}})
 
 
 def test_replay_rejects_resolution_index_past_last_fiber():
