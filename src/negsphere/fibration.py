@@ -224,7 +224,7 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
 
     Returns the tree and the number of blow-ups consumed by resolutions
     and replacements.  Only weights and edges are built here: the tree's
-    labels, flags and trace are ``_provenance``'s, made on their first read.
+    labels, flags and trace are ``_tree_provenance``'s, made on their first read.
     """
     validate(spec)
     # every resolution is checked before the first fragment is placed
@@ -232,7 +232,7 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     chosen = {i: fiber_option(spec, i, choice) for i, choice in resolutions.items()}
 
     placed = []  # (fiber index, option, offset) per attached fragment
-    graph = PlumbingGraph._deferred([-spec.n], lambda: _provenance(spec, placed))
+    graph = PlumbingGraph._deferred([-spec.n], lambda: _tree_provenance(spec, placed))
     defaults = {}  # per fiber type, looked up at its first fiber without a choice
     blowups = 0
 
@@ -251,7 +251,7 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     return graph, blowups
 
 
-def _provenance(spec: FibrationSpec, placed) -> tuple[list, list, list]:
+def _tree_provenance(spec: FibrationSpec, placed) -> tuple[list, list, list]:
     """The labels, exceptional flags and trace of the tree ``build_tree``
     assembled from ``placed``, its (fiber index, option, offset) triples."""
     labels, flags = ["section"], [False]

@@ -166,7 +166,7 @@ class PlumbingGraph:
             if callable(base):
                 labels, flags, trace = base()
             else:
-                labels, flags, trace = base[0] + [], base[1] + [], [_json_copy(r) for r in base[2]]
+                labels, flags, trace = list(base[0]), list(base[1]), list(map(_json_copy, base[2]))
             labels += [f"e{w}" for _, _, w in links]
             flags += [True] * len(links)
             trace += [
