@@ -15,7 +15,9 @@ pairs and the change in odd ones, so a drift of the machine over the
 session falls on both sides alike.  The output file holds both commits,
 the Python version, the command line, every pair's metrics, each side's
 median and quartiles per end-to-end metric, and the number of pairs in
-which the change was better.  The exit code is 0 when every run checked
+which the change was better; after writing it, the script prints one line
+per end-to-end metric with both medians, the relative change and the
+wins to stderr.  The exit code is 0 when every run checked
 out (``correct``), 1 otherwise, and 2 when the script refuses to run.
 """
 
@@ -112,6 +114,15 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return summary
 
 
+def summary_line(name: str, item: dict) -> str:
+    """One metric of ``summarise``'s output: both medians, the relative
+    change of the median and the pairs in which the change was better."""
+    change = item["median_change"]
+    relative = "n/a" if change is None else f"{change:+.1%}"
+    return (f"{name}: parent {item['parent']['median']:.6g}, change {item['change']['median']:.6g} "
+            f"({relative}), change better in {item['change_wins']}/{item['pairs']} pairs")
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -174,6 +185,8 @@ def main(argv=None) -> int:
     out = root / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}", file=sys.stderr)
+    for name, item in report["summary"].items():
+        print(summary_line(name, item), file=sys.stderr)
     return 0 if report["all_correct"] else 1
 
 

@@ -78,7 +78,9 @@ class FibrationSpec:
         fibers = data["fibers"]
         if not isinstance(fibers, list) or not all(isinstance(nm, str) for nm in fibers):
             raise ValidationError(f"spec 'fibers' must be a list of fiber names, got {fibers!r}")
-        claim = str(data.get("provenance", ASSUMED_REALIZABLE))  # checked, never stored
+        claim = data.get("provenance", ASSUMED_REALIZABLE)  # checked, never stored
+        if not isinstance(claim, str):
+            raise ValidationError(f"spec 'provenance' must be a string, got {claim!r}")
         if claim not in (PAPER_VERIFIED, ASSUMED_REALIZABLE):
             raise ValidationError(f"unknown provenance {claim!r}")
         return cls(data["n"], fibers)

@@ -25,7 +25,11 @@ then wraps round to the front: a replay that walks the edges in list
 order never rescans the ones it has passed.
 
 A rewrite copies only the weights and the edges, which decide the
-smoothed square.  Its labels, exceptional flags and trace (provenance) are
+smoothed square, in one straight pass: copy the weights, append the new
+sphere's -1, then one loop over the blown-up ends lowers each and appends
+its edge.  ``smooth`` tests the common case first (a tree's edge count,
+then the carried tree flag) and walks its three errors only when that
+test fails.  A rewrite's labels, exceptional flags and trace (provenance) are
 a log over a base, built into lists on first read and cached.  A base is
 an ancestor's lists (an input's own lists become its base too, under an
 empty log) or a function making fresh ones: ``fibration.build_tree``
@@ -224,19 +228,24 @@ class PlumbingGraph:
         Only weights and edges are copied: the output's provenance is an
         ancestor's lists (``_base``) then a link (previous, ends, w) per
         blow-up; an input holding its own lists makes them its base too."""
-        w = len(self.weights)
-        weights = self.weights + [-1]
+        weights = self.weights.copy()
+        w = len(weights)
+        weights.append(-1)
         for end in ends:
             weights[end] -= 1
-        edges += [(end, w) for end in ends]
+            edges.append((end, w))
         # the one construction without the constructor's checks: a blow-up
         # keeps every edge in range, loop-free and distinct
         out = object.__new__(PlumbingGraph)
-        out.weights, out.edges = weights, edges
+        out.weights = weights
+        out.edges = edges
         if self._base is None:
             self._base = (self._labels, self._exceptional, self._trace)
-        out._base, out._log = self._base, (self._log, ends, w)
-        out._edge_set, out._tree, out._coloring = None, self._tree, None
+        out._base = self._base
+        out._log = (self._log, ends, w)
+        out._edge_set = None
+        out._tree = self._tree
+        out._coloring = None
         out._cut = cut
         return out
 
@@ -327,16 +336,19 @@ class PlumbingGraph:
 
         Valid only for a connected tree; the result is sum(weights) -
         2 * edge_count, one -2 per smoothed negative crossing.
-        Tree-ness is derived at most once per graph (see ``is_tree``).
+        The edge count is tested first, then the carried tree flag, and
+        ``is_tree`` runs only when the flag is not true; the errors (empty,
+        cycle, disconnected, in that order) are walked only on a failure.
         """
         n = len(self.weights)
+        m = len(self.edges)
+        if m == n - 1 and (self._tree or self.is_tree()):
+            return sum(self.weights) - 2 * m
         if n == 0:
             raise PlumbingError("cannot smooth an empty graph")
-        if len(self.edges) >= n:
+        if m >= n:
             raise PlumbingError("graph has a cycle; smoothing would not give a sphere")
-        if not self.is_tree():
-            raise PlumbingError("graph is disconnected; smoothing would not give a sphere")
-        return sum(self.weights) - 2 * len(self.edges)
+        raise PlumbingError("graph is disconnected; smoothing would not give a sphere")
 
     # -- serialization -----------------------------------------------------
 

@@ -77,7 +77,9 @@ _GENERATORS = {
 
 def generator(name: str) -> GroupElement:
     """The fixed twist matrix for generator 'a' or 'b' (case-insensitive)."""
-    key = str(name).lower()
+    if not isinstance(name, str):
+        raise ValueError(f"a generator name must be a string, got {name!r}")
+    key = name.lower()
     if key not in _GENERATORS:
         raise ValueError(f"unknown generator {name!r}; expected 'a' or 'b'")
     return _GENERATORS[key]
@@ -94,8 +96,10 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 
 
 def normalize_word(word: str) -> str:
-    """Lower-case a monodromy word, rejecting letters outside {a, b}."""
-    text = str(word).lower()
+    """Lower-case a monodromy word, rejecting a non-string and letters outside {a, b}."""
+    if not isinstance(word, str):
+        raise ValueError(f"a monodromy word must be a string, got {word!r}")
+    text = word.lower()
     if not set(text) <= _LETTERS:
         bad = next(ch for ch in text if ch not in _LETTERS)
         raise ValueError(f"invalid letter {bad!r} in monodromy word")

@@ -1,0 +1,44 @@
+"""The paired benchmark script's summary, without running a benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+_END_TO_END = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+               {"name": "op_p50_ms", "better": "lower", "bound": 0.25}]
+
+
+def _pairs(parent, change):
+    return [{"parent": {"metrics": p}, "change": {"metrics": c}} for p, c in zip(parent, change)]
+
+
+def test_summarise_takes_medians_quartiles_and_wins_by_each_metric_direction():
+    pairs = _pairs([{"ops_per_s": 100, "op_p50_ms": 2.0}, {"ops_per_s": 110, "op_p50_ms": 2.2},
+                    {"ops_per_s": 120, "op_p50_ms": 1.0}],
+                   [{"ops_per_s": 130, "op_p50_ms": 1.5}, {"ops_per_s": 105, "op_p50_ms": 1.8},
+                    {"ops_per_s": 150, "op_p50_ms": 1.2}])
+    summary = bench_pairs.summarise(pairs, _END_TO_END)
+    ops, p50 = summary["ops_per_s"], summary["op_p50_ms"]
+    assert ops["parent"] == {"median": 110, "q1": 105, "q3": 115}
+    assert ops["change"]["median"] == 130 and ops["median_change"] == pytest.approx(20 / 110)
+    assert ops["parent_iqr"] == 10
+    assert (ops["change_wins"], ops["pairs"]) == (2, 3)  # higher is better
+    assert (p50["change_wins"], p50["pairs"]) == (2, 3)  # lower is better
+    assert p50["median_change"] == pytest.approx(-0.25)
+    assert bench_pairs.summary_line("ops_per_s", ops) == (
+        "ops_per_s: parent 110, change 130 (+18.2%), change better in 2/3 pairs")
+    assert bench_pairs.summary_line("op_p50_ms", p50) == (
+        "op_p50_ms: parent 2, change 1.5 (-25.0%), change better in 2/3 pairs")
+
+
+def test_summary_line_of_a_zero_parent_median_has_no_relative_change():
+    summary = bench_pairs.summarise(_pairs([{"ops_per_s": 0}], [{"ops_per_s": 3}]), _END_TO_END[:1])
+    assert summary["ops_per_s"]["median_change"] is None
+    assert bench_pairs.summary_line("ops_per_s", summary["ops_per_s"]) == (
+        "ops_per_s: parent 0, change 3 (n/a), change better in 1/1 pairs")

@@ -355,6 +355,10 @@ def test_exit_codes_stable(capsys):
     (K3_IV, {"resolutions": {"2": None}}, "plan choice for fiber 2 must be a string, got None"),
     (K3_IV, {"resolutions": {"2": ["resolve"]}},
      "plan choice for fiber 2 must be a string, got ['resolve']"),
+    (dict(K3_IV, provenance=None), None, "spec 'provenance' must be a string, got None"),
+    (dict(K3_IV, provenance=5), None, "spec 'provenance' must be a string, got 5"),
+    (dict(K3_IV, provenance=["paper_verified"]), None,
+     "spec 'provenance' must be a string, got ['paper_verified']"),
 ])
 def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
     spec_file = tmp_path / "spec.json"

@@ -317,6 +317,14 @@ def test_spec_json_round_trip():
     assert FibrationSpec.from_json_dict(data) == spec
 
 
+@pytest.mark.parametrize("claim", [None, 5, ["paper_verified"], {"paper_verified": True}])
+def test_spec_reader_names_a_provenance_claim_that_is_not_a_string(claim):
+    data = dict(reference_decomposition(2).to_json_dict(), provenance=claim)
+    with pytest.raises(ValidationError) as info:
+        FibrationSpec.from_json_dict(data)
+    assert str(info.value) == f"spec 'provenance' must be a string, got {claim!r}"
+
+
 def test_spec_rejects_unknown_fiber():
     with pytest.raises(ValueError, match="unknown fiber type"):
         FibrationSpec(n=2, fibers=("E8t", "nope"))

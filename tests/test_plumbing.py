@@ -156,6 +156,48 @@ def test_smooth_rejects_empty():
         PlumbingGraph().smooth()
 
 
+_EMPTY = "cannot smooth an empty graph"
+_CYCLE = "graph has a cycle; smoothing would not give a sphere"
+_APART = "graph is disconnected; smoothing would not give a sphere"
+
+
+# each graph with every tree flag it can hold: only a coloring of a connected
+# graph with a tree's edge count sets the flag true, and a direct edit of the
+# lists after that changes a count (see the test below)
+@pytest.mark.parametrize("weights, edges, flags, message", [
+    ([], [], (None, True, False), _EMPTY),
+    ([-2] * 3, [(0, 1), (1, 2), (0, 2)], (None, True, False), _CYCLE),
+    ([-2] * 4, [(0, 1), (1, 2), (2, 3), (0, 3)], (None, True, False), _CYCLE),
+    ([-2] * 3, [(0, 1)], (None, True, False), _APART),
+    ([-2] * 4, [(0, 1), (1, 2), (0, 2)], (None, False), _APART),
+    ([-2] * 5, [(0, 1), (1, 2), (2, 3), (0, 3)], (None, False), _APART),
+])
+def test_smooth_raises_its_errors_in_order_whatever_flag_is_cached(weights, edges, flags, message):
+    for flag in flags:
+        g = PlumbingGraph.from_weights(weights, edges)
+        g._tree = flag
+        for _ in range(2):  # the first call may cache a flag; the second reads it
+            with pytest.raises(PlumbingError) as info:
+                g.smooth()
+            assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: g.edges.append((0, 2)), _CYCLE),
+    (lambda g: g.edges.pop(), _APART),
+    (lambda g: g.weights.append(-2), _APART),
+    (lambda g: g.weights.pop(), _CYCLE),
+    (lambda g: (g.weights.clear(), g.edges.clear()), _EMPTY),
+])
+def test_a_count_edit_after_smooth_is_never_hidden_by_the_cached_flag(edit, message):
+    g = chain(-2, -2, -2)
+    assert g.smooth() == -10 and g._tree is True
+    edit(g)
+    with pytest.raises(PlumbingError) as info:
+        g.smooth()
+    assert str(info.value) == message
+
+
 def test_oracle_single_vertex():
     g = PlumbingGraph.from_weights([-2])
     assert oracle_square(g, (1,)) == -2

@@ -109,6 +109,20 @@ def test_word_rejects_bad_letters():
         word_to_matrix("abc")
 
 
+@pytest.mark.parametrize("word", [None, True, ["a", "b"], 5, b"ab"])
+def test_a_word_that_is_not_a_string_is_named(word):
+    with pytest.raises(ValueError) as info:
+        word_to_matrix(word)
+    assert str(info.value) == f"a monodromy word must be a string, got {word!r}"
+
+
+@pytest.mark.parametrize("name", [None, True, ["a"], 0, b"a"])
+def test_a_generator_name_that_is_not_a_string_is_named(name):
+    with pytest.raises(ValueError) as info:
+        generator(name)
+    assert str(info.value) == f"a generator name must be a string, got {name!r}"
+
+
 def test_uppercase_words_accepted():
     assert word_to_matrix("AB") == word_to_matrix("ab")
 
