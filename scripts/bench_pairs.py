@@ -4,7 +4,10 @@
 
 Run from anywhere inside the repository.  The parent side is REV's
 committed files, unpacked with ``git archive`` into a temporary directory;
-the change side is the working tree at the repository root.  The script
+the change side is a snapshot of the working tree's tracked files,
+uncommitted edits included (``git stash create``, or HEAD when the tree is
+clean), unpacked the same way into a temporary directory of its own, so
+both sides run from one kind of place.  The script
 refuses to run when the two sides' benchmark (``BENCHMARK.json`` and the
 directories it lists as ``paths``) differ, since the pairs would then
 measure two benchmarks instead of two programs.
@@ -54,6 +57,13 @@ def unpack(root: Path, commit: str, into: Path) -> None:
             archive.extractall(into, filter="data")
         else:  # Python releases before the extraction filters
             archive.extractall(into)
+
+
+def snapshot(root: Path) -> str:
+    """A commit holding the working tree's tracked files, uncommitted edits
+    included: ``git stash create``'s, which touches no ref, or HEAD's when
+    there is nothing to stash."""
+    return git(root, "stash", "create").strip() or git(root, "rev-parse", "HEAD").strip()
 
 
 def check_same_benchmark(root: Path, commit: str, paths: list[str]) -> None:
@@ -147,9 +157,10 @@ def main(argv=None) -> int:
         head = git(root, "rev-parse", "HEAD").strip()
         dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no").strip())
         pairs = []
-        with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-            sides = {"parent": Path(tmp), "change": root}
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
             unpack(root, parent, sides["parent"])
+            unpack(root, snapshot(root), sides["change"])
             for side in sides.values():  # neither side pays for compiling in a timed run
                 subprocess.run([sys.executable, "-m", "compileall", "-q", "src", *bench["paths"]],
                                cwd=side, check=True, capture_output=True)

@@ -226,7 +226,7 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
 
     Returns the tree and the number of blow-ups consumed by resolutions
     and replacements.  Only weights and edges are built here: the tree's
-    labels, flags and trace are ``_tree_provenance``'s, made on their first read.
+    labels and trace are ``_tree_provenance``'s, made on every read.
     """
     validate(spec)
     # every resolution is checked before the first fragment is placed
@@ -253,21 +253,20 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     return graph, blowups
 
 
-def _tree_provenance(spec: FibrationSpec, placed) -> tuple[list, list, list]:
-    """The labels, exceptional flags and trace of the tree ``build_tree``
-    assembled from ``placed``, its (fiber index, option, offset) triples."""
-    labels, flags = ["section"], [False]
+def _tree_provenance(spec: FibrationSpec, placed) -> tuple[list, list]:
+    """The labels and trace of the tree ``build_tree`` assembled from
+    ``placed``, its (fiber index, option, offset) triples."""
+    labels = ["section"]
     trace = [{"op": "section", "n": spec.n, "vertex": 0}]
     for i, option, offset in placed:
         name, fragment = spec.fibers[i], option.fragment
         tree = fragment.graph
         labels += [f"{name}[{i}].{lab}" for lab in tree.labels]
-        flags += tree.exceptional
         trace.append({"op": "attach_fiber", "fiber": i, "name": name,
                       "choice": "fragment" if option.choice == "use" else option.choice,
                       "vertices": [offset, offset + len(tree.weights) - 1],
                       "attached_at": offset + fragment.attachment, "blowups": option.blowups})
-    return labels, flags, trace
+    return labels, trace
 
 
 def construction_square(n: int) -> int:

@@ -10,14 +10,14 @@ components via a two-coloring (so every intersection is negative) and
 smoothing every crossing.
 
 A graph is built by its constructor, which checks every edge through
-``add_edge``; it changes only through ``add_edge``/``add_tree`` and the
-rewrites, which return new graphs and never mutate their input.  Facts
-derived from the edges (the edge set behind the duplicate check, whether
-the graph is a tree, its two-coloring) are computed at most once per
-graph: ``add_edge``/``add_tree`` extend the edge set and drop the other
-two, and a rewrite carries the tree flag only (a blow-up keeps a tree a
-tree).  Cycles are rejected only when smoothing, not at construction
-time, leaving intermediate experiments unrestricted.
+``add_edge``; it changes only through ``add_edge`` and the rewrites, which
+return new graphs and never mutate their input.  Facts derived from the
+edges (the edge set behind the duplicate check, whether the graph is a
+tree, its two-coloring) are computed at most once per graph: ``add_edge``
+extends the edge set and drops the other two, and a rewrite carries the
+tree flag only (a blow-up keeps a tree a tree).  Cycles are rejected only
+when smoothing, not at construction time, leaving intermediate
+experiments unrestricted.
 
 An edge blow-up looks its edge up from the position where the edge
 blow-up that made the graph deleted its own (0 for a constructed graph),
@@ -29,65 +29,44 @@ smoothed square, in one straight pass: copy the weights, append the new
 sphere's -1, then one loop over the blown-up ends lowers each and appends
 its edge.  ``smooth`` tests the common case first (a tree's edge count,
 then the carried tree flag) and walks its three errors only when that
-test fails.  A rewrite's labels, exceptional flags and trace (provenance) are
-a log over a base, built into lists on first read and cached.  A base is
-an ancestor's lists (an input's own lists become its base too, under an
-empty log) or a function making fresh ones: ``fibration.build_tree``
-appends weights and edges only and leaves such a recipe as its tree's
-base, so a tree that is replayed and never read formats no label.  Trace
-records (dicts) are copied wherever they cross from one graph, or from a
-graph to its JSON, to another, so later edits never reach across a rewrite.
+test fails.  A graph's provenance is an immutable base plus the log of
+the blow-ups that made it: the base is the constructor's labels (default
+v0, v1, ...) or a recipe, as ``fibration.build_tree`` leaves, that makes
+fresh labels and trace, so a tree that is replayed and never read formats
+no label.  Labels, exceptional flags and trace are derived from the two
+into fresh lists on every read; a sphere is exceptional exactly when a
+blow-up made it.
 """
 
 from __future__ import annotations
 
 from operator import mul
 
-from .inputs import as_int, is_int
+from .inputs import as_int
 
 
 class PlumbingError(ValueError):
     """A plumbing operation was applied outside its domain."""
 
 
-def _json_list(data: dict, key: str) -> list:
-    """The list a graph's JSON object holds under ``key`` (none: empty)."""
-    value = data.get(key, [])
-    if not isinstance(value, list):
-        raise PlumbingError(f"graph {key!r} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _json_copy(value):
-    """A copy of a JSON value that shares no list or dict with it."""
-    if type(value) is dict:
-        return {key: _json_copy(item) for key, item in value.items()}
-    if type(value) is list:
-        return [_json_copy(item) for item in value]
-    return value
-
-
 class PlumbingGraph:
-    __slots__ = ("weights", "edges", "_labels", "_exceptional", "_trace", "_base", "_log",
-                 "_edge_set", "_tree", "_coloring", "_cut")
+    __slots__ = ("weights", "edges", "_base", "_log", "_edge_set", "_tree", "_coloring", "_cut")
     __hash__ = None  # mutable, so not hashable
 
     # -- construction ------------------------------------------------------
 
-    def __init__(self, weights=(), edges=(), labels=None, exceptional=None, trace=()) -> None:
+    def __init__(self, weights=(), edges=(), labels=None) -> None:
         """Weights follow the package's integer rule and each edge goes through
-        ``add_edge``; labels default to v0, v1, ... and exceptional flags to False."""
+        ``add_edge``; labels default to v0, v1, ..."""
         self.weights = [w if type(w) is int else as_int(w, "a weight", PlumbingError)
                         for w in weights]
-        n = len(self.weights)
-        self._labels = list(labels) if labels is not None else [f"v{i}" for i in range(n)]
-        self._exceptional = list(exceptional) if exceptional is not None else [False] * n
-        if not len(self._labels) == len(self._exceptional) == n:
-            raise PlumbingError(f"weights, labels and exceptional flags must align, got "
-                                f"{n}, {len(self._labels)} and {len(self._exceptional)}")
+        if labels is not None:
+            labels = tuple(labels)
+            if len(labels) != len(self.weights):
+                raise PlumbingError(f"weights and labels must align, got "
+                                    f"{len(self.weights)} and {len(labels)}")
         self.edges = []
-        self._trace = list(trace)
-        self._base = self._log = None
+        self._base, self._log = labels, None
         self._edge_set = self._tree = self._coloring = None
         self._cut = 0
         for u, v in edges:
@@ -114,25 +93,12 @@ class PlumbingGraph:
         self.edges.append(key)
         self._tree = self._coloring = None
 
-    def add_tree(self, tree: "PlumbingGraph", labels) -> int:
-        """Append a copy of ``tree`` as a block (see ``_append``) and return
-        the index its first vertex takes: labels come from ``labels``,
-        exceptional flags from ``tree``, and the trace is left alone."""
-        labels = list(labels)
-        if len(labels) != len(tree.weights):
-            raise PlumbingError(f"{len(labels)} labels for a tree of {len(tree.weights)} vertices")
-        own_labels, own_flags, _ = self._own()
-        offset = self._append(tree)
-        own_labels += labels
-        own_flags += tree.exceptional
-        return offset
-
     def _append(self, tree: "PlumbingGraph") -> int:
         """Append ``tree``'s weights and edges, these shifted by the index its
         first vertex takes, and return that index; provenance is left alone.
         A tree's edges are in range, loop-free and distinct, and stay so."""
         if not tree.is_tree():
-            raise PlumbingError("add_tree takes a connected tree")
+            raise PlumbingError("only a connected tree is appended as a block")
         offset = len(self.weights)
         edges = [(u + offset, v + offset) for u, v in tree.edges]
         self.weights += tree.weights
@@ -144,52 +110,60 @@ class PlumbingGraph:
 
     @classmethod
     def _deferred(cls, weights, provenance) -> "PlumbingGraph":
-        """A graph of ``weights`` and no edges whose labels, flags and trace
-        are those ``provenance()`` returns, called on their first read."""
+        """A graph of ``weights`` and no edges whose labels and trace are
+        those ``provenance()`` returns, called on every read."""
         graph = cls(weights)
         graph._base = provenance
         return graph
 
     # -- provenance: labels, exceptional flags and trace ---------------------
 
-    labels = property(lambda self: self._own()[0])
-    exceptional = property(lambda self: self._own()[1])
-    trace = property(lambda self: self._own()[2])
+    labels = property(lambda self: self._provenance()[0])
+    trace = property(lambda self: self._provenance()[1])
 
-    def _own(self) -> tuple[list, list, list]:
-        """The labels, flags and trace lists, this graph's own to hand out and
-        edit, built on first use from the log (by a loop: a log may be
-        thousands of links long, or empty) over the base: a function's fresh
-        lists, or an ancestor's, copied with the trace records they share."""
-        if self._base is not None:
-            base, link, links = self._base, self._log, []
-            while link is not None:
-                links.append(link)
-                link = link[0]
-            links.reverse()  # oldest blow-up first
-            if callable(base):
-                labels, flags, trace = base()
-            else:
-                labels, flags, trace = list(base[0]), list(base[1]), list(map(_json_copy, base[2]))
-            labels += [f"e{w}" for _, _, w in links]
-            flags += [True] * len(links)
-            trace += [
-                {"op": "blow_up_edge", "edge": list(ends), "new_vertex": w} if len(ends) == 2
-                else {"op": "blow_up_point", "vertex": ends[0], "new_vertex": w}
-                for _, ends, w in links]
-            self._labels, self._exceptional, self._trace = labels, flags, trace
-            self._base = self._log = None
-        return self._labels, self._exceptional, self._trace
+    @property
+    def exceptional(self) -> list[bool]:
+        """True exactly for the spheres a blow-up made: rewrites only append,
+        so those are the vertices from the oldest blow-up's new sphere on."""
+        link, first = self._log, len(self.weights)
+        while link is not None:
+            link, first = link[0], link[2]
+        return [i >= first for i in range(len(self.weights))]
+
+    def _provenance(self) -> tuple[list, list]:
+        """Fresh labels and trace: the base's, then one label and one record
+        per blow-up in the log (walked by a loop: a log may be thousands of
+        links long, or empty)."""
+        link, links = self._log, []
+        while link is not None:
+            links.append(link)
+            link = link[0]
+        links.reverse()  # oldest blow-up first
+        base = self._base
+        if callable(base):
+            labels, trace = base()
+        else:
+            n = links[0][2] if links else len(self.weights)
+            labels = [f"v{i}" for i in range(n)] if base is None else list(base)
+            trace = []
+        labels += [f"e{w}" for _, _, w in links]
+        trace += [
+            {"op": "blow_up_edge", "edge": list(ends), "new_vertex": w} if len(ends) == 2
+            else {"op": "blow_up_point", "vertex": ends[0], "new_vertex": w}
+            for _, ends, w in links]
+        return labels, trace
 
     def __eq__(self, other):
+        """Weights, edges, labels and trace; the flags follow from the trace."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.weights, self.edges, self._own()) == (other.weights, other.edges, other._own())
+        return ((self.weights, self.edges, self._provenance())
+                == (other.weights, other.edges, other._provenance()))
 
     def __repr__(self) -> str:
-        labels, flags, trace = self._own()
+        labels, trace = self._provenance()
         return (f"PlumbingGraph(weights={self.weights!r}, labels={labels!r}, "
-                f"exceptional={flags!r}, edges={self.edges!r}, trace={trace!r})")
+                f"exceptional={self.exceptional!r}, edges={self.edges!r}, trace={trace!r})")
 
     # -- basic queries -----------------------------------------------------
 
@@ -225,9 +199,8 @@ class PlumbingGraph:
         ``cut`` is where the output's next edge lookup starts: the position
         an edge blow-up deleted its edge from, or a point blow-up's input's.
 
-        Only weights and edges are copied: the output's provenance is an
-        ancestor's lists (``_base``) then a link (previous, ends, w) per
-        blow-up; an input holding its own lists makes them its base too."""
+        Only weights and edges are copied: the output shares its input's
+        base and adds a link (previous, ends, w) to its log."""
         weights = self.weights.copy()
         w = len(weights)
         weights.append(-1)
@@ -239,8 +212,6 @@ class PlumbingGraph:
         out = object.__new__(PlumbingGraph)
         out.weights = weights
         out.edges = edges
-        if self._base is None:
-            self._base = (self._labels, self._exceptional, self._trace)
         out._base = self._base
         out._log = (self._log, ends, w)
         out._edge_set = None
@@ -353,48 +324,16 @@ class PlumbingGraph:
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        labels, flags, trace = self._own()
+        labels, trace = self._provenance()
+        flags = self.exceptional
         return {
             "vertices": [
                 {"label": labels[i], "weight": weight, "genus": 0, "exceptional": flags[i]}
                 for i, weight in enumerate(self.weights)
             ],
             "edges": [list(e) for e in self.edges],
-            "trace": [_json_copy(rec) for rec in trace],
+            "trace": trace,
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "PlumbingGraph":
-        """The graph ``to_json_dict`` wrote; other input raises PlumbingError."""
-        if not isinstance(data, dict):
-            raise PlumbingError(f"graph must be a JSON object, got {type(data).__name__}")
-        weights, labels, flags, edges = [], [], [], []
-        for i, item in enumerate(_json_list(data, "vertices")):
-            if not isinstance(item, dict):
-                raise PlumbingError(f"vertex {i} must be a JSON object, got {type(item).__name__}")
-            w, g, flag = item.get("weight"), item.get("genus", 0), item.get("exceptional", False)
-            label = item.get("label", f"v{i}")
-            if not (is_int(w) and is_int(g) and g == 0 and type(flag) is bool
-                    and isinstance(label, str)):
-                raise PlumbingError(f"vertex {i} needs an integer weight, genus 0 (every vertex is "
-                                    f"a sphere), a boolean 'exceptional' and a string label, "
-                                    f"got {item!r}")
-            weights.append(w)
-            labels.append(label)
-            flags.append(flag)
-        for edge in _json_list(data, "edges"):
-            if not (isinstance(edge, list) and len(edge) == 2):
-                raise PlumbingError(f"an edge must be a list of two ends, got {edge!r}")
-            u, v = edge
-            if not (is_int(u) and is_int(v)):
-                raise PlumbingError(f"edge ends must be integers, got {[u, v]!r}")
-            edges.append((int(u), int(v)))
-        trace = _json_list(data, "trace")
-        for i, rec in enumerate(trace):
-            if not isinstance(rec, dict):
-                raise PlumbingError(
-                    f"trace record {i} must be a JSON object, got {type(rec).__name__}")
-        return cls(weights, edges, labels, flags, [dict(rec) for rec in trace])
 
     def to_dot(self) -> str:
         """Graphviz text; vertex label = weight, blow-up vertices boxed."""

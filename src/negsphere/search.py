@@ -30,7 +30,6 @@ from .fibers import AB_POWER_FIBERS, FIBER_ORDER, catalog, fiber, order_index
 from .fibration import (
     ASSUMED_REALIZABLE,
     PAPER_VERIFIED,
-    WORKED_EXAMPLES,  # re-exported
     FibrationSpec,
     ValidationError,
     _fiber_names,
@@ -42,7 +41,7 @@ from .fibration import (
     fiber_option,
 )
 from .inputs import as_int, as_nk, json_key_int, json_object
-from .plumbing import PlumbingError, PlumbingGraph, _json_copy, checked_square
+from .plumbing import PlumbingError, PlumbingGraph, checked_square
 
 #: Searched by default: the types whose words are powers of (ab), so a
 #: multiset's validity does not depend on fiber order.
@@ -151,7 +150,8 @@ class SearchResult:
 
     @property
     def trace(self) -> list[dict]:
-        """The blow-up log of ``graph`` itself (not a copy); empty without a graph."""
+        """``graph``'s trace, a fresh list of fresh records on every read;
+        empty without a graph."""
         return [] if self.graph is None else self.graph.trace
 
     def to_json_dict(self) -> dict:
@@ -164,7 +164,7 @@ class SearchResult:
             "plan": self.plan.to_json_dict(),
             "ratio": {"num": ratio.numerator, "den": ratio.denominator},
             "provenance": self.provenance,
-            "trace": [_json_copy(rec) for rec in self.trace],
+            "trace": self.trace,
         }
 
 

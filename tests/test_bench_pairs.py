@@ -1,6 +1,8 @@
-"""The paired benchmark script's summary, without running a benchmark."""
+"""The paired benchmark script's summary and its working-tree snapshot,
+without running a benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,31 @@ def test_summary_line_of_a_zero_parent_median_has_no_relative_change():
     assert summary["ops_per_s"]["median_change"] is None
     assert bench_pairs.summary_line("ops_per_s", summary["ops_per_s"]) == (
         "ops_per_s: parent 0, change 3 (n/a), change better in 1/1 pairs")
+
+
+def _git(repo, *args):
+    subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
+                    *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_the_change_side_snapshot_holds_uncommitted_edits_of_tracked_files(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "kept.txt").write_text("committed\n")
+    (repo / "edited.txt").write_text("committed\n")
+    _git(repo, "add", "kept.txt", "edited.txt")
+    _git(repo, "commit", "-q", "-m", "first")
+
+    clean = bench_pairs.snapshot(repo)
+    assert clean == bench_pairs.git(repo, "rev-parse", "HEAD").strip()
+
+    (repo / "edited.txt").write_text("edited, not committed\n")
+    (repo / "untracked.txt").write_text("never added\n")
+    bench_pairs.unpack(repo, bench_pairs.snapshot(repo), tmp_path / "change")
+    assert (tmp_path / "change" / "edited.txt").read_text() == "edited, not committed\n"
+    assert (tmp_path / "change" / "kept.txt").read_text() == "committed\n"
+    assert not (tmp_path / "change" / "untracked.txt").exists()
+    # taking the snapshot leaves the working tree and the stash alone
+    assert (repo / "edited.txt").read_text() == "edited, not committed\n"
+    assert bench_pairs.git(repo, "stash", "list") == ""

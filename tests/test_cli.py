@@ -13,10 +13,8 @@ from negsphere import cli, fibration, verify
 from negsphere import search as search_module
 from negsphere.cli import main
 from negsphere.fibers import FIBER_ORDER
-from negsphere.fibration import FibrationSpec
-from negsphere.plumbing import PlumbingGraph
+from negsphere.fibration import WORKED_EXAMPLES, FibrationSpec
 from negsphere.search import (
-    WORKED_EXAMPLES,
     BlowupPlan,
     best_sphere,
     conjecture_check,
@@ -167,14 +165,16 @@ def test_build_writes_dot(tmp_path, capsys):
 
 
 def test_build_json_graph(tmp_path, capsys):
-    spec_file = tmp_path / "spec.json"
-    spec_file.write_text(json.dumps({"n": 2, "fibers": ["E8t", "E6t", "I0star"]}))
-    code, out, _ = run(capsys, "build", str(spec_file), "--json")
+    spec = {"n": 2, "fibers": ["E8t", "E6t", "I0star"]}
+    plan = {"edge_blowups": 2, "point_blowups": 1}
+    code, out, _ = run(capsys, "build", *build_files(tmp_path, spec, plan), "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["smooth"] == payload["oracle"] == -86
-    graph = PlumbingGraph.from_json_dict(payload["graph"])
-    assert graph.smooth() == -86
+    assert payload["smooth"] == payload["oracle"] == -86 - 2 * 5 - 4
+    replayed = replay_plan(FibrationSpec.from_json_dict(spec), BlowupPlan.from_json_dict(plan))
+    assert payload["graph"] == replayed.to_json_dict()
+    weights = [vertex["weight"] for vertex in payload["graph"]["vertices"]]
+    assert sum(weights) - 2 * len(payload["graph"]["edges"]) == payload["smooth"]
 
 
 def test_build_invalid_spec_exit_code(tmp_path, capsys):

@@ -15,6 +15,7 @@ from negsphere.fibration import (
     FibrationSpec,
     PAPER_VERIFIED,
     ValidationError,
+    WORKED_EXAMPLES,
     betti,
     build_tree,
     closed_form_square,
@@ -23,7 +24,7 @@ from negsphere.fibration import (
     validate,
 )
 from negsphere.plumbing import PlumbingGraph, oracle_square
-from negsphere.search import WORKED_EXAMPLES, BlowupPlan, best_sphere, plan_provenance
+from negsphere.search import BlowupPlan, best_sphere, plan_provenance
 
 
 def spec_of(n, *names):
@@ -400,7 +401,8 @@ def test_construction_square_is_oracle_checked(monkeypatch):
 
 def _assembled(spec, resolutions):
     """The tree of ``spec`` made by one constructor call, which checks it
-    edge by edge rather than appending each fragment as a block."""
+    edge by edge rather than appending each fragment as a block, and the
+    trace ``build_tree`` records for it."""
     weights, labels, edges = [-spec.n], ["section"], []
     trace = [{"op": "section", "n": spec.n, "vertex": 0}]
     for i, name in enumerate(spec.fibers):
@@ -419,7 +421,14 @@ def _assembled(spec, resolutions):
             "vertices": [offset, len(weights) - 1],
             "attached_at": offset + fragment.attachment, "blowups": option.blowups,
         })
-    return PlumbingGraph(weights, edges, labels, trace=trace)
+    return PlumbingGraph(weights, edges, labels), trace
+
+
+def _json_after(trace, graph):
+    """``graph``'s JSON form with ``trace`` ahead of its own (blow-up) records."""
+    data = graph.to_json_dict()
+    data["trace"] = trace + data["trace"]
+    return data
 
 
 def _equivalence_cases():
@@ -448,8 +457,8 @@ def test_equivalence_cases_cover_every_catalog_option():
 def test_build_tree_matches_an_assembly_one_vertex_at_a_time():
     for spec, resolutions in _equivalence_cases():
         graph, _ = build_tree(spec, resolutions)
-        expected = _assembled(spec, resolutions)
-        assert graph.to_json_dict() == expected.to_json_dict(), (spec, resolutions)
+        expected, trace = _assembled(spec, resolutions)
+        assert graph.to_json_dict() == _json_after(trace, expected), (spec, resolutions)
         assert graph.smooth() == expected.smooth() == oracle_square(graph, graph.two_coloring())
 
 
@@ -466,13 +475,14 @@ def test_build_tree_provenance_read_first_after_rewrites_matches_the_assembly():
     for spec, resolutions in _equivalence_cases():
         tree, _ = build_tree(spec, resolutions)
         rewritten = _rewritten(tree)
-        expected = _assembled(spec, resolutions)
-        assert rewritten.to_json_dict() == _rewritten(expected).to_json_dict(), (spec, resolutions)
-        # each graph makes its own records: edits to the first one read reach no other
+        expected, trace = _assembled(spec, resolutions)
+        want = _json_after(trace, _rewritten(expected))
+        assert rewritten.to_json_dict() == want, (spec, resolutions)
+        # every read is fresh: edits to what one read returned reach no later read
         rewritten.trace[0]["op"] = "edited"
         rewritten.labels[0] = "edited"
-        assert tree.to_json_dict() == expected.to_json_dict(), (spec, resolutions)
-        assert _rewritten(tree).to_json_dict() == _rewritten(expected).to_json_dict()
+        assert tree.to_json_dict() == _json_after(trace, expected), (spec, resolutions)
+        assert rewritten.to_json_dict() == want
 
 
 def test_a_search_formats_no_label_until_the_winner_labels_are_read(monkeypatch):
@@ -489,9 +499,10 @@ def test_a_search_formats_no_label_until_the_winner_labels_are_read(monkeypatch)
     result = best_sphere(30, 50)
     assert reads == []
     read = result.graph.labels
+    fragments_read = len(reads)
     attached = [rec for rec in result.trace if rec["op"] == "attach_fiber"]
-    assert len(reads) == len(attached) > 0
-    built = _assembled(result.spec, result.plan.resolutions)
+    assert fragments_read == len(attached) > 0
+    built, _ = _assembled(result.spec, result.plan.resolutions)
     added = range(built.vertex_count, result.graph.vertex_count)
     assert read == built.labels + [f"e{w}" for w in added]
     assert result.graph.exceptional == built.exceptional + [True] * len(added)

@@ -52,8 +52,8 @@ def _replayed(plan):
 
 _SITES = {
     "PlumbingGraph weight": lambda v: PlumbingGraph([v, -2], [(0, 1)]).to_json_dict(),
-    "PlumbingGraph.from_json_dict weight":
-        lambda v: PlumbingGraph.from_json_dict({"vertices": [{"weight": v}]}).to_json_dict(),
+    "PlumbingGraph.from_weights weight":
+        lambda v: PlumbingGraph.from_weights([v]).to_json_dict(),
     "oracle_square coloring entry":
         lambda v: oracle_square(PlumbingGraph([-2, -3], [(0, 1)]), [v, -1]),
     "PlumbingFragment attachment":

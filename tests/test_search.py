@@ -15,6 +15,7 @@ from negsphere.fibration import (
     FibrationSpec,
     PAPER_VERIFIED,
     ValidationError,
+    WORKED_EXAMPLES,
     _trivial_monodromy,
     betti,
     build_tree,
@@ -23,7 +24,6 @@ from negsphere.fibration import (
 )
 from negsphere.plumbing import PlumbingError, checked_square, oracle_square
 from negsphere.search import (
-    WORKED_EXAMPLES,
     BlowupPlan,
     NoSolutionError,
     SearchResult,
@@ -584,7 +584,7 @@ def test_equal_plans_hash_equal_and_work_as_set_members():
 def test_search_result_stays_unhashable_and_graph_is_not_compared():
     result = best_sphere(6, 3)
     assert checked_square(result.graph) == result.best_square
-    assert result.trace is result.graph.trace
+    assert result.trace == result.graph.trace
     with pytest.raises(TypeError):
         hash(result)
     assert dataclasses.replace(result, graph=None) == result
