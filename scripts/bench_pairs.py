@@ -126,11 +126,15 @@ def summarise(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 def summary_line(name: str, item: dict) -> str:
     """One metric of ``summarise``'s output: both medians, the relative
-    change of the median and the pairs in which the change was better."""
+    change of the median and the pairs in which the change was better,
+    marked when the median moved the worse way by more than its bound."""
     change = item["median_change"]
     relative = "n/a" if change is None else f"{change:+.1%}"
+    worse = 1 if item["better"] == "lower" else -1  # the sign of a change for the worse
+    past = change is not None and worse * change > item["bound"]
     return (f"{name}: parent {item['parent']['median']:.6g}, change {item['change']['median']:.6g} "
-            f"({relative}), change better in {item['change_wins']}/{item['pairs']} pairs")
+            f"({relative}), change better in {item['change_wins']}/{item['pairs']} pairs"
+            + (f"; WORSE than its {item['bound']:.0%} bound" if past else ""))
 
 
 def parse_args(argv):

@@ -17,7 +17,7 @@ from .fibration import (
     betti,
     closed_form_square,
     construction_square,
-    fiber_option,
+    fiber_options,
 )
 from .plumbing import checked_square, dot_graph
 from .search import (
@@ -221,13 +221,13 @@ def _read_json(path: str):
 def _cmd_build(args) -> int:
     spec = FibrationSpec.from_json_dict(_read_json(args.specfile))
     plan = BlowupPlan.from_json_dict(_read_json(args.plan)) if args.plan else BlowupPlan()
-    spent = plan.total_blowups(spec)
-    check_desk_scale(spec.n, spent, args.max_n, args.max_k)
     missing = [i for i, nm in enumerate(spec.fibers) if fiber(nm).default is None]
     if missing and not args.plan:
         raise ValidationError(
             f"spec has fibers without a default choice at indices {missing}; provide --plan"
         )
+    spent = plan.total_blowups(spec)
+    check_desk_scale(spec.n, spent, args.max_n, args.max_k)
     graph = replay_plan(spec, plan)  # build_tree validates the spec
     square = checked_square(graph)
     provenance = plan_provenance(spec, plan)  # the file's claim is not read
@@ -260,8 +260,7 @@ def _running_totals(result) -> str:
     total = -spec.n
     steps = [f"section {total}"]
     groups = Counter()  # (name, option) in first-seen order
-    for i, name in enumerate(spec.fibers):
-        option = fiber_option(spec, i, plan.resolutions.get(i))
+    for name, option in zip(spec.fibers, fiber_options(spec, plan.resolutions)):
         if option.fragment is not None:
             groups[name, option] += 1
     for (name, option), count in groups.items():

@@ -212,6 +212,18 @@ def fiber_option(spec: FibrationSpec, i: int, choice: str | None = None) -> Fibe
         raise ValidationError(f"fiber {i} ({name}) {exc}") from None
 
 
+def fiber_options(spec: FibrationSpec, resolutions=None) -> list[FiberOption]:
+    """Each fiber's catalog option, in fiber order: every entry of ``resolutions``
+    (see ``build_tree``) is checked first, then each other fiber takes its type's default."""
+    resolutions = {} if resolutions is None else json_object(resolutions, "resolutions")
+    chosen = {i: fiber_option(spec, i, choice) for i, choice in resolutions.items()}
+    defaults = {}
+    for i, name in enumerate(spec.fibers):
+        if i not in chosen and name not in defaults:
+            defaults[name] = fiber_option(spec, i)
+    return [chosen.get(i) or defaults[name] for i, name in enumerate(spec.fibers)]
+
+
 def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, int]:
     """Assemble the plumbing tree of a fibration and count blow-ups spent.
 
@@ -220,51 +232,39 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     point until normal crossing), "replace" (swap in the (-9)-sphere of the
     cuspidal-cubic gluing) or "skip" (leave the fiber out of the tree).
     A fiber without an entry takes its type's default; II_cusp/III/IV have
-    none and need an entry, and I1_nodal is always skipped.  The section
-    meets each fragment at its catalog attachment vertex (the smoothed
-    value is independent of this choice).
+    none and need an entry, and I1_nodal is always skipped: the options
+    are ``fiber_options``'s.  The section meets each fragment at its catalog
+    attachment vertex (the smoothed value is independent of this choice).
 
-    Returns the tree and the number of blow-ups consumed by resolutions
-    and replacements.  Only weights and edges are built here: the tree's
+    Returns the tree and the blow-ups its options consume (resolutions and
+    replacements).  Only weights and edges are built here: the tree's
     labels and trace are ``_tree_provenance``'s, made on every read.
     """
     validate(spec)
-    # every resolution is checked before the first fragment is placed
-    resolutions = {} if resolutions is None else json_object(resolutions, "resolutions")
-    chosen = {i: fiber_option(spec, i, choice) for i, choice in resolutions.items()}
+    options = fiber_options(spec, resolutions)
+    graph = PlumbingGraph._deferred([-spec.n], lambda: _tree_provenance(spec, options))
+    for option in options:
+        fragment = option.fragment
+        if fragment is not None:
+            offset = graph._append(fragment.graph)
+            graph.add_edge(0, offset + fragment.attachment)
+    return graph, sum(option.blowups for option in options)
 
-    placed = []  # (fiber index, option, offset) per attached fragment
-    graph = PlumbingGraph._deferred([-spec.n], lambda: _tree_provenance(spec, placed))
-    defaults = {}  # per fiber type, looked up at its first fiber without a choice
-    blowups = 0
 
-    for i, name in enumerate(spec.fibers):
-        option = chosen.get(i) or defaults.get(name)
-        if option is None:
-            option = defaults[name] = fiber_option(spec, i)
+def _tree_provenance(spec: FibrationSpec, options) -> tuple[list, list]:
+    """The labels and trace of the tree ``build_tree`` assembled from
+    ``options``, one per fiber: each fragment follows the last."""
+    labels = ["section"]
+    trace = [{"op": "section", "n": spec.n, "vertex": 0}]
+    for i, (name, option) in enumerate(zip(spec.fibers, options)):
         fragment = option.fragment
         if fragment is None:
             continue
-        offset = graph._append(fragment.graph)
-        graph.add_edge(0, offset + fragment.attachment)
-        placed.append((i, option, offset))
-        blowups += option.blowups
-
-    return graph, blowups
-
-
-def _tree_provenance(spec: FibrationSpec, placed) -> tuple[list, list]:
-    """The labels and trace of the tree ``build_tree`` assembled from
-    ``placed``, its (fiber index, option, offset) triples."""
-    labels = ["section"]
-    trace = [{"op": "section", "n": spec.n, "vertex": 0}]
-    for i, option, offset in placed:
-        name, fragment = spec.fibers[i], option.fragment
-        tree = fragment.graph
+        tree, offset = fragment.graph, len(labels)
         labels += [f"{name}[{i}].{lab}" for lab in tree.labels]
         trace.append({"op": "attach_fiber", "fiber": i, "name": name,
                       "choice": "fragment" if option.choice == "use" else option.choice,
-                      "vertices": [offset, offset + len(tree.weights) - 1],
+                      "vertices": [offset, len(labels) - 1],
                       "attached_at": offset + fragment.attachment, "blowups": option.blowups})
     return labels, trace
 

@@ -95,8 +95,11 @@ class PlumbingGraph:
 
     def _append(self, tree: "PlumbingGraph") -> int:
         """Append ``tree``'s weights and edges, these shifted by the index its
-        first vertex takes, and return that index; provenance is left alone.
-        A tree's edges are in range, loop-free and distinct, and stay so."""
+        first vertex takes, and return that index; provenance is left alone,
+        so a graph a blow-up made refuses.  A tree's edges are in range,
+        loop-free and distinct, and stay so."""
+        if self._log is not None:
+            raise PlumbingError("a block is appended only to a graph no blow-up made")
         if not tree.is_tree():
             raise PlumbingError("only a connected tree is appended as a block")
         offset = len(self.weights)

@@ -38,7 +38,7 @@ from .fibration import (
     build_tree,
     construction_square,
     documented_choices,
-    fiber_option,
+    fiber_options,
 )
 from .inputs import as_int, as_nk, json_key_int, json_object
 from .plumbing import PlumbingError, PlumbingGraph, checked_square
@@ -68,7 +68,7 @@ class BlowupPlan:
 
     ``resolutions`` maps fiber index -> one of the choices its fiber
     type's catalog options offer; a fiber without an entry takes the
-    type's default (see ``fibration.build_tree``).  Whatever the
+    type's default (see ``fibration.fiber_options``).  Whatever the
     resolutions do not consume is spent as ``edge_blowups`` (then
     ``point_blowups``); resolutions + edges + points must equal k.
     Hashable, consistently with ``==``: the hash reads the resolutions as
@@ -98,11 +98,9 @@ class BlowupPlan:
         return hash((tuple(sorted(self.resolutions.items())),
                      self.edge_blowups, self.point_blowups))
 
-    def blowup_cost(self, spec: FibrationSpec) -> int:
-        return sum(fiber_option(spec, i, c).blowups for i, c in self.resolutions.items())
-
     def total_blowups(self, spec: FibrationSpec) -> int:
-        return self.blowup_cost(spec) + self.edge_blowups + self.point_blowups
+        options = fiber_options(spec, self.resolutions)
+        return sum(o.blowups for o in options) + self.edge_blowups + self.point_blowups
 
     def to_json_dict(self) -> dict:
         return {
@@ -244,14 +242,14 @@ def _fiber_join(names: tuple[str, ...], tops):
 def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
     """``paper_verified`` when the source builds on the fiber multiset of
     ``spec`` and every fiber takes a choice the source makes there, else
-    ``assumed_realizable``.  Fibers may be listed in any order.  This and
+    ``assumed_realizable``.  Fibers may be listed in any order; a plan that
+    ``build_tree`` rejects raises, whatever the spec.  This and
     ``FibrationSpec.provenance`` are the two readers of
     ``fibration.documented_choices``."""
+    options = fiber_options(spec, plan.resolutions)
     documented = documented_choices(spec)
     on_pattern = documented is not None and all(
-        (name, fiber_option(spec, i, plan.resolutions.get(i)).choice) in documented
-        for i, name in enumerate(spec.fibers)
-    )
+        (name, option.choice) in documented for name, option in zip(spec.fibers, options))
     return PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
 
 

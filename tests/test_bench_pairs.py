@@ -46,6 +46,23 @@ def test_summary_line_of_a_zero_parent_median_has_no_relative_change():
         "ops_per_s: parent 0, change 3 (n/a), change better in 1/1 pairs")
 
 
+def test_summary_line_marks_a_median_moved_the_worse_way_past_its_bound():
+    # ops_per_s is higher-better, op_p50_ms lower-better; both bounds are 25%
+    parent = {"ops_per_s": 100, "op_p50_ms": 2.0}
+    summary = bench_pairs.summarise(
+        _pairs([parent] * 3, [{"ops_per_s": 70, "op_p50_ms": 2.6}] * 3), _END_TO_END)
+    assert bench_pairs.summary_line("ops_per_s", summary["ops_per_s"]) == (
+        "ops_per_s: parent 100, change 70 (-30.0%), change better in 0/3 pairs; "
+        "WORSE than its 25% bound")
+    assert bench_pairs.summary_line("op_p50_ms", summary["op_p50_ms"]).endswith(
+        "(+30.0%), change better in 0/3 pairs; WORSE than its 25% bound")
+    # within the bound, or past it the better way, no mark
+    for change in ({"ops_per_s": 80, "op_p50_ms": 2.4}, {"ops_per_s": 200, "op_p50_ms": 1.0}):
+        summary = bench_pairs.summarise(_pairs([parent], [change]), _END_TO_END)
+        for name, item in summary.items():
+            assert "WORSE" not in bench_pairs.summary_line(name, item)
+
+
 def _git(repo, *args):
     subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid",
                     *args], cwd=repo, check=True, capture_output=True)

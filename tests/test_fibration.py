@@ -24,7 +24,7 @@ from negsphere.fibration import (
     validate,
 )
 from negsphere.plumbing import PlumbingGraph, oracle_square
-from negsphere.search import BlowupPlan, best_sphere, plan_provenance
+from negsphere.search import BlowupPlan, best_sphere, enumerate_specs, plan_provenance
 
 
 def spec_of(n, *names):
@@ -389,6 +389,61 @@ def test_build_rejects_resolution_index_past_last_fiber():
 def test_build_reports_the_first_bad_resolution_in_plan_order(resolutions, message):
     with pytest.raises(ValidationError, match=message):
         build_tree(spec_of(2, "E8t", "E8t", "IV"), resolutions=resolutions)
+
+
+def _options_one_by_one(spec, resolutions):
+    """Each fiber's option by the per-index rule: every entry of
+    ``resolutions``, in plan order, before the first fiber's default."""
+    checked = {i: fibration.fiber_option(spec, i, c) for i, c in resolutions.items()}
+    return [checked[i] if i in checked else fibration.fiber_option(spec, i)
+            for i in range(len(spec.fibers))]
+
+
+def _outcome(call, *args):
+    try:
+        return "ok", call(*args)
+    except ValidationError as exc:
+        return "error", str(exc)
+
+
+_EXTENDED_SPECS = [spec for n in (2, 3) for spec in enumerate_specs(n, FIBER_ORDER)]
+_CHOICES = sorted({o.choice for t in catalog() for o in t.options})
+
+
+@st.composite
+def _specs_and_resolutions(draw):
+    """A valid spec over every catalog type, its fibers in any order, and
+    resolutions naming some fibers' own choices (so a fiber without a
+    default may lack its entry), with at most one bad entry put anywhere."""
+    spec = draw(st.sampled_from(_EXTENDED_SPECS))
+    spec = spec_of(spec.n, *draw(st.permutations(spec.fibers)))
+    # a fiber without a default lacks its entry one time in ten
+    items = [(i, draw(st.sampled_from([o.choice for o in fiber(name).options])))
+             for i, name in enumerate(spec.fibers)
+             if (draw(st.integers(0, 9)) if fiber(name).default is None else draw(st.booleans()))]
+    i = draw(st.integers(0, len(spec.fibers) - 1))
+    bad = draw(st.none() | st.sampled_from([
+        (i, "bogus"),  # unknown
+        (i, draw(st.sampled_from(_CHOICES))),  # valid, or another type's
+        (len(spec.fibers) + draw(st.integers(0, 3)), "skip"),  # out of range
+        (-1, "skip"),
+        (draw(st.sampled_from(["0", 1.5, True, None])), "skip"),  # not an integer
+    ]))
+    if bad is not None:
+        items.insert(draw(st.integers(0, len(items))), bad)
+    return spec, dict(items)
+
+
+@given(_specs_and_resolutions())
+def test_property_fiber_options_match_the_per_index_rule(case):
+    spec, resolutions = case
+    want = _outcome(_options_one_by_one, spec, resolutions)
+    assert _outcome(fibration.fiber_options, spec, resolutions) == want
+    built = _outcome(build_tree, spec, resolutions)
+    if want[0] == "ok":
+        assert built[0] == "ok" and built[1][1] == sum(o.blowups for o in want[1])
+    else:
+        assert built == want
 
 
 def test_construction_square_is_oracle_checked(monkeypatch):

@@ -350,6 +350,20 @@ def _observe(g):
     return _facts(clone)
 
 
+_REFUSED = "^a block is appended only to a graph no blow-up made$"
+
+
+def _append_or_refuse(g, tree):
+    """Append ``tree`` to g; a graph a blow-up made (one with an exceptional
+    sphere) refuses, and is left as it was."""
+    if not any(g.exceptional):
+        return g._append(tree)
+    before = copy.deepcopy(_shape(g))
+    with pytest.raises(PlumbingError, match=_REFUSED):
+        g._append(tree)
+    assert _shape(g) == before
+
+
 _OPS = ("vertex", "edge", "blow_up_edge", "blow_up_point", "smooth", "two_coloring", "facts")
 
 
@@ -361,7 +375,7 @@ def test_property_derived_facts_match_a_fresh_graph(ops):
     for op, x, y in ops:
         n = g.vertex_count
         if op == "vertex":
-            g._append(PlumbingGraph([-(x % 9) - 1]))
+            _append_or_refuse(g, PlumbingGraph([-(x % 9) - 1]))
         elif op == "edge" and n:
             try:
                 g.add_edge(x % n, y % n)
@@ -398,7 +412,7 @@ def _a_missing_edge(g):
 # the ways a caller can change a graph in place, and edits of what its reads
 # return, which must change nothing
 _EDITS = {
-    "append": lambda g: g._append(PlumbingGraph([-3])),
+    "append": lambda g: _append_or_refuse(g, PlumbingGraph([-3])),
     "add_edge": lambda g: g.add_edge(*_a_missing_edge(g)),
     "trace": lambda g: g.trace.append({"op": "edit"}),
     "label": lambda g: g.labels.__setitem__(0, "edited"),
@@ -758,12 +772,24 @@ def test_resumed_lookup_wraps_round_to_an_edge_before_the_cut():
 
 
 def test_resumed_lookup_after_add_edge_and_append():
-    g = _cut_at_2()
+    # the block goes in before the blow-up, since a graph a blow-up made refuses it
+    g = chain(-2, -2, -2, -2)
     offset = g._append(chain(-3, -3))
-    g.add_edge(4, offset)
+    g = g.blow_up_edge((2, 3))
+    assert g.edges == [(0, 1), (1, 2), (4, 5), (2, 6), (3, 6)] and g._cut == 2
+    _append_or_refuse(g, chain(-3, -3))
+    g.add_edge(6, offset)
     assert g._cut == 2 and g.blow_up_point_on_vertex(0)._cut == 2  # a point blow-up keeps it
     for e in g.edges:
         assert _shape(g.blow_up_edge(e)) == _shape(_fresh(g).blow_up_edge(e))
+
+
+def test_append_to_a_graph_a_blow_up_made_is_refused():
+    g = PlumbingGraph.from_weights([-2, -2], [(0, 1)]).blow_up_point_on_vertex(0)
+    before = g.to_json_dict()
+    with pytest.raises(PlumbingError, match=_REFUSED):
+        g._append(PlumbingGraph([-3]))
+    assert g.to_json_dict() == before and g.exceptional == [False, False, True]
 
 
 def test_resumed_lookup_names_a_missing_edge():

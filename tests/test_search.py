@@ -31,6 +31,7 @@ from negsphere.search import (
     blowup_guarantee,
     conjecture_check,
     enumerate_specs,
+    plan_provenance,
     replay_plan,
 )
 
@@ -536,10 +537,32 @@ def test_enumerate_specs_validates_the_reference_once(monkeypatch):
 
 def test_plan_blowup_cost_reads_the_catalog():
     spec = FibrationSpec(n=6, fibers=("E8t",) * 7 + ("II_cusp",))
-    assert BlowupPlan({7: "replace"}).blowup_cost(spec) == fiber("II_cusp").option("replace").blowups
-    assert BlowupPlan({7: "resolve"}).blowup_cost(spec) == fiber("II_cusp").option("resolve").blowups
+    for choice in ("replace", "resolve", "skip"):
+        plan = BlowupPlan({7: choice}, edge_blowups=2, point_blowups=1)
+        assert plan.total_blowups(spec) == fiber("II_cusp").option(choice).blowups + 3
     with pytest.raises(ValidationError, match="out of range"):
-        BlowupPlan({8: "skip"}).blowup_cost(spec)
+        BlowupPlan({8: "skip"}).total_blowups(spec)
+    # the cusp has no default: the budget of a plan without its entry is refused
+    with pytest.raises(ValidationError, match=r"^fiber 7 \(II_cusp\) requires a resolution choice"):
+        BlowupPlan(edge_blowups=2).total_blowups(spec)
+
+
+_E2_TWO_CUSPS = FibrationSpec(n=2, fibers=("E8t", "E8t", "II_cusp", "II_cusp"))
+
+
+@pytest.mark.parametrize("spec, plan", [
+    (reference_decomposition(2), BlowupPlan({99: "skip"})),  # source-documented multiset
+    (_E2_TWO_CUSPS, BlowupPlan({99: "skip", 2: "skip", 3: "skip"})),  # undocumented multiset
+    (_E2_TWO_CUSPS, BlowupPlan({2: "resolve"})),  # fiber 3 lacks its entry
+    (reference_decomposition(6), BlowupPlan({0: "replace"}, edge_blowups=1)),
+], ids=["out-of-range-documented", "out-of-range-undocumented", "missing-default", "bad-choice"])
+def test_a_plan_build_tree_rejects_is_rejected_alike_by_every_reader(spec, plan):
+    with pytest.raises(ValidationError) as built:
+        build_tree(spec, plan.resolutions)
+    for reader in (plan_provenance, lambda spec, plan: plan.total_blowups(spec)):
+        with pytest.raises(ValidationError) as read:
+            reader(spec, plan)
+        assert str(read.value) == str(built.value)
 
 
 @pytest.mark.parametrize("kwargs", [
