@@ -20,8 +20,16 @@ the Python version, the command line, every pair's metrics, each side's
 median and quartiles per end-to-end metric, and the number of pairs in
 which the change was better; after writing it, the script prints one line
 per end-to-end metric with both medians, the relative change and the
-wins to stderr.  The exit code is 0 when every run checked
-out (``correct``), 1 otherwise, and 2 when the script refuses to run.
+wins to stderr.
+
+After the pairs, each side makes one ``--trace 1`` run at seed S.  A traced
+run does a fixed amount of work whatever its length, so its count metrics
+(the per-layer metrics of unit ``count`` in ``BENCHMARK.json``) do not
+depend on the machine.  The output file holds them under ``"work"`` as
+``{metric: {"parent": ..., "change": ...}}``, and the script prints one
+stderr line for each count that differs between the sides.  The exit code
+is 0 when every run checked out (``correct``), 1 otherwise, and 2 when the
+script refuses to run.
 """
 
 from __future__ import annotations
@@ -75,9 +83,10 @@ def check_same_benchmark(root: Path, commit: str, paths: list[str]) -> None:
                       "and the working tree; pairs would compare two benchmarks")
 
 
-def run_side(side: Path, command: list[str], workload: str, seed: int, seconds) -> dict:
+def run_side(side: Path, command: list[str], workload: str, seed: int, seconds,
+             trace: int = 0) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
+            "--seconds", str(seconds), "--trace", str(trace)]
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
     done = subprocess.run(argv, cwd=side, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
@@ -85,7 +94,7 @@ def run_side(side: Path, command: list[str], workload: str, seed: int, seconds) 
         raise Refused(f"{' '.join(argv)} in {side} exited {done.returncode}: "
                       f"{done.stderr.strip()[-500:]}")
     result = json.loads(lines[-1])
-    record = json.loads((side / ".bench_out" / f"{workload}-trace0.json").read_text())
+    record = json.loads((side / ".bench_out" / f"{workload}-trace{trace}.json").read_text())
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
@@ -137,6 +146,19 @@ def summary_line(name: str, item: dict) -> str:
             + (f"; WORSE than its {item['bound']:.0%} bound" if past else ""))
 
 
+def work_counts(parent: dict, change: dict, per_layer: list[dict]) -> dict:
+    """The count metrics of one traced run per side, by metric."""
+    return {metric["name"]: {"parent": parent[metric["name"]], "change": change[metric["name"]]}
+            for metric in per_layer if metric["unit"] == "count"}
+
+
+def work_lines(work: dict) -> list[str]:
+    """One line per count that differs between the sides."""
+    return [f"work {name}: parent {item['parent']}, change {item['change']} "
+            f"({item['change'] - item['parent']:+})"
+            for name, item in work.items() if item["parent"] != item["change"]]
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -179,6 +201,9 @@ def main(argv=None) -> int:
                           f"correct {pair[name]['correct']} "
                           f"op_p50_ms {pair[name]['metrics'].get('op_p50_ms')}", file=sys.stderr)
                 pairs.append(pair)
+            traced = {name: run_side(sides[name], bench["command"], args.workload,
+                                     args.first_seed, bench["run_seconds"], trace=1)
+                      for name in sides}
     except Refused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
@@ -193,8 +218,14 @@ def main(argv=None) -> int:
         "machine": first["machine"],
         "parent": {"rev": args.parent, "commit": parent},
         "change": {"commit": head, "uncommitted_changes": dirty},
-        "all_correct": all(pair[side]["correct"] for pair in pairs for side in ("parent", "change")),
+        "all_correct": all(run["correct"] for run in (
+            *(pair[side] for pair in pairs for side in ("parent", "change")), *traced.values())),
         "summary": summarise(pairs, bench["end_to_end"]),
+        "work_command": [*bench["command"], "--workload", args.workload,
+                         "--seed", str(args.first_seed), "--seconds", str(bench["run_seconds"]),
+                         "--trace", "1"],
+        "work": work_counts(traced["parent"]["metrics"], traced["change"]["metrics"],
+                            bench["per_layer"]),
         "pairs": pairs,
     }
     out = root / f"BENCH_{args.workload}.json"
@@ -202,6 +233,8 @@ def main(argv=None) -> int:
     print(f"wrote {out}", file=sys.stderr)
     for name, item in report["summary"].items():
         print(summary_line(name, item), file=sys.stderr)
+    for line in work_lines(report["work"]):
+        print(line, file=sys.stderr)
     return 0 if report["all_correct"] else 1
 
 

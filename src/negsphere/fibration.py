@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import sl2z
@@ -52,6 +53,14 @@ class FibrationSpec:
             _fiber_names(self.fibers, "spec 'fibers'")  # raises for a name that is not a string
             for name in self.fibers:
                 fiber(name)  # raises, naming the first unknown type
+
+    @classmethod
+    def _of(cls, n: int, fibers: tuple[str, ...]) -> "FibrationSpec":
+        """A spec built without ``__post_init__``'s checks, for a caller that made them."""
+        spec = object.__new__(cls)
+        _SET_N(spec, n)
+        _SET_FIBERS(spec, fibers)
+        return spec
 
     @property
     def provenance(self) -> str:
@@ -129,6 +138,8 @@ _RESIDUE_FIBERS = {
 # Validated reference specs by n, filled on first use.  Invalid n are
 # never stored, so they raise on every call.
 _REFERENCE_SPECS: dict[int, FibrationSpec] = {}
+# ``FibrationSpec._of``'s setters, the slots' own: cheaper than object.__setattr__
+_SET_N, _SET_FIBERS = FibrationSpec.n.__set__, FibrationSpec.fibers.__set__
 
 
 def reference_decomposition(n: int) -> FibrationSpec:
@@ -242,7 +253,7 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     """
     validate(spec)
     options = fiber_options(spec, resolutions)
-    graph = PlumbingGraph._deferred([-spec.n], lambda: _tree_provenance(spec, options))
+    graph = PlumbingGraph._deferred([-spec.n], partial(_tree_provenance, spec, options))
     for option in options:
         fragment = option.fragment
         if fragment is not None:
@@ -251,22 +262,24 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     return graph, sum(option.blowups for option in options)
 
 
-def _tree_provenance(spec: FibrationSpec, options) -> tuple[list, list]:
-    """The labels and trace of the tree ``build_tree`` assembled from
-    ``options``, one per fiber: each fragment follows the last."""
-    labels = ["section"]
+def _tree_provenance(spec: FibrationSpec, options, labels=True) -> tuple[list | None, list]:
+    """The labels (None without ``labels``: a trace read formats none) and trace
+    of the tree ``build_tree`` assembled from ``options``, fragment after fragment."""
+    names = ["section"] if labels else None
     trace = [{"op": "section", "n": spec.n, "vertex": 0}]
+    end = 1  # one past the last vertex placed
     for i, (name, option) in enumerate(zip(spec.fibers, options)):
         fragment = option.fragment
         if fragment is None:
             continue
-        tree, offset = fragment.graph, len(labels)
-        labels += [f"{name}[{i}].{lab}" for lab in tree.labels]
+        offset, end = end, end + fragment.graph.vertex_count
+        if labels:
+            names += [f"{name}[{i}].{lab}" for lab in fragment.graph.labels]
         trace.append({"op": "attach_fiber", "fiber": i, "name": name,
                       "choice": "fragment" if option.choice == "use" else option.choice,
-                      "vertices": [offset, len(labels) - 1],
+                      "vertices": [offset, end - 1],
                       "attached_at": offset + fragment.attachment, "blowups": option.blowups})
-    return labels, trace
+    return names, trace
 
 
 def construction_square(n: int) -> int:

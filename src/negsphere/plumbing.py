@@ -113,8 +113,8 @@ class PlumbingGraph:
 
     @classmethod
     def _deferred(cls, weights, provenance) -> "PlumbingGraph":
-        """A graph of ``weights`` and no edges whose labels and trace are
-        those ``provenance()`` returns, called on every read."""
+        """A graph of ``weights`` and no edges whose labels and trace are those
+        ``provenance(labels)`` returns on every read (see ``_provenance``)."""
         graph = cls(weights)
         graph._base = provenance
         return graph
@@ -122,7 +122,7 @@ class PlumbingGraph:
     # -- provenance: labels, exceptional flags and trace ---------------------
 
     labels = property(lambda self: self._provenance()[0])
-    trace = property(lambda self: self._provenance()[1])
+    trace = property(lambda self: self._provenance(labels=False)[1])
 
     @property
     def exceptional(self) -> list[bool]:
@@ -133,28 +133,26 @@ class PlumbingGraph:
             link, first = link[0], link[2]
         return [i >= first for i in range(len(self.weights))]
 
-    def _provenance(self) -> tuple[list, list]:
-        """Fresh labels and trace: the base's, then one label and one record
-        per blow-up in the log (walked by a loop: a log may be thousands of
-        links long, or empty)."""
+    def _provenance(self, labels=True) -> tuple[list | None, list]:
+        """Fresh labels and trace: the base's, then one label and one record per
+        blow-up in the log, walked by a loop (it may be thousands of links long,
+        or empty).  Without ``labels``, as for a trace read, no label is made."""
         link, links = self._log, []
         while link is not None:
             links.append(link)
             link = link[0]
         links.reverse()  # oldest blow-up first
         base = self._base
-        if callable(base):
-            labels, trace = base()
-        else:
-            n = links[0][2] if links else len(self.weights)
-            labels = [f"v{i}" for i in range(n)] if base is None else list(base)
-            trace = []
-        labels += [f"e{w}" for _, _, w in links]
+        names, trace = base(labels) if callable(base) else (base, [])
+        if labels:
+            if names is None:
+                names = [f"v{i}" for i in range(links[0][2] if links else len(self.weights))]
+            names = [*names, *(f"e{w}" for _, _, w in links)]
         trace += [
             {"op": "blow_up_edge", "edge": list(ends), "new_vertex": w} if len(ends) == 2
             else {"op": "blow_up_point", "vertex": ends[0], "new_vertex": w}
             for _, ends, w in links]
-        return labels, trace
+        return names, trace
 
     def __eq__(self, other):
         """Weights, edges, labels and trace; the flags follow from the trace."""

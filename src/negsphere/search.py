@@ -24,7 +24,6 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem
 
 from .fibers import AB_POWER_FIBERS, FIBER_ORDER, catalog, fiber, order_index
 from .fibration import (
@@ -231,14 +230,6 @@ def _iter_counts(eulers: tuple[int, ...], total: int, prune=None):
             return
 
 
-def _fiber_join(names: tuple[str, ...], tops):
-    """``counts -> fibers`` for count vectors with counts[pos] <= tops[pos]:
-    one run per type, ``runs[pos][c] == (names[pos],) * c`` from a table
-    built once, joined, so a spec costs no per-fiber Python work."""
-    runs = [[(name,) * c for c in range(top + 1)] for name, top in zip(names, tops)]
-    return lambda counts: sum(map(getitem, runs, counts), ())
-
-
 def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
     """``paper_verified`` when the source builds on the fiber multiset of
     ``spec`` and every fiber takes a choice the source makes there, else
@@ -262,18 +253,24 @@ def enumerate_specs(n: int, allowed=None):
     canonical order.  With only (ab)-power types the monodromy is
     automatically (ab)^{6n} = 1; with E7t, III or I1_nodal allowed each
     candidate's words are multiplied in canonical order, as ``validate``
-    does, and non-trivial products are dropped.  Which check applies is
-    settled once per call.
+    does, and non-trivial products are dropped.  That check, n and every
+    name are settled once per call, so each spec is built unchecked.
     """
     n, _ = as_nk(n)
     names = _resolve_allowed(allowed)
     eulers = tuple(fiber(nm).euler for nm in names)
     ab_only = AB_POWER_FIBERS.issuperset(names)
-    join = _fiber_join(names, [12 * n // e for e in eulers])
-    for counts in _iter_counts(eulers, 12 * n):
-        fibers = join(counts)
+    runs = [[(name,) * c for c in range(12 * n // e + 1)] for name, e in zip(names, eulers)]
+    heads = [()] * len(names)  # fibers of counts[:pos]: the head above plus one run
+
+    def carry(pos, remaining, counts):  # the walk's hook, which never prunes
+        if pos:
+            heads[pos] = heads[pos - 1] + runs[pos - 1][counts[pos - 1]]
+
+    for counts in _iter_counts(eulers, 12 * n, carry):
+        fibers = heads[-1] + runs[-1][counts[-1]]
         if ab_only or _trivial_monodromy(fibers):
-            yield FibrationSpec(n=n, fibers=fibers)
+            yield FibrationSpec._of(n, fibers)
 
 
 # -- per-spec plan optimization ----------------------------------------------
@@ -350,7 +347,7 @@ def _plan_from_counts(names, plan) -> BlowupPlan:
 
 
 def _dfs_best(n, k, names):
-    """Best (value, counts, plan) over all specs, or None.
+    """Best (value, fibers, plan) over all specs, or None.
 
     The walk's order is the tie-break order, so only a strictly smaller
     value replaces the best.  A node's bound: the placed counts at their
@@ -366,20 +363,22 @@ def _dfs_best(n, k, names):
     for pos in reversed(range(m)):
         rates[pos] = min(rates[pos + 1], adj[pos] * (scale // eulers[pos]))
     partial = [(-n - 5 * k) * scale] + [0] * m  # scaled bound of counts[:pos]
+    heads = [()] * m  # fibers of counts[:pos]; ~25 nodes a search do not pay for a run table
     ab_only = AB_POWER_FIBERS.issuperset(names)
-    join = None if ab_only else _fiber_join(names, [12 * n // e for e in eulers])
     best = None
 
     def prune(pos, remaining, counts):
         if pos:
             partial[pos] = partial[pos - 1] + counts[pos - 1] * adj[pos - 1] * scale
+            heads[pos] = heads[pos - 1] + (names[pos - 1],) * counts[pos - 1]
         return best is not None and partial[pos] + rates[pos] * remaining >= best[0] * scale
 
     for counts in _iter_counts(eulers, 12 * n, prune):
-        if ab_only or _trivial_monodromy(join(counts)):
+        fibers = heads[-1] + (names[-1],) * counts[-1]
+        if ab_only or _trivial_monodromy(fibers):
             value, plan = _best_plan_for_counts(n, k, names, counts)
             if best is None or value < best[0]:
-                best = (value, counts, plan)
+                best = (value, fibers, plan)
     return best
 
 
@@ -457,10 +456,10 @@ def best_sphere(
         raise NoSolutionError(
             f"no valid fibration decomposition for n={n} over fibers {list(names)}"
         )
-    value, counts, plan_counts = found
+    value, fibers, plan_counts = found
 
     plan = _plan_from_counts(names, plan_counts)
-    spec = FibrationSpec(n=n, fibers=_fiber_join(names, counts)(counts))
+    spec = FibrationSpec(n=n, fibers=fibers)
     graph = replay_plan(spec, plan, k=k)
     square = checked_square(graph)
     if square != value:

@@ -89,3 +89,20 @@ def test_the_change_side_snapshot_holds_uncommitted_edits_of_tracked_files(tmp_p
     # taking the snapshot leaves the working tree and the stash alone
     assert (repo / "edited.txt").read_text() == "edited, not committed\n"
     assert bench_pairs.git(repo, "stash", "list") == ""
+
+
+def test_work_keeps_each_sides_count_metrics_and_names_each_count_that_differs():
+    per_layer = [{"name": "search.enumerate_specs.yielded", "unit": "count"},
+                 {"name": "fibers.fiber.calls", "unit": "count"},
+                 {"name": "plumbing.vertices_copied", "unit": "count"},
+                 {"name": "search.self_s", "unit": "s"}]
+    parent = {"search.enumerate_specs.yielded": 12681, "fibers.fiber.calls": 80,
+              "plumbing.vertices_copied": 500, "search.self_s": 0.5}
+    change = {**parent, "plumbing.vertices_copied": 450, "search.self_s": 0.25}
+    work = bench_pairs.work_counts(parent, change, per_layer)
+    assert work == {"search.enumerate_specs.yielded": {"parent": 12681, "change": 12681},
+                    "fibers.fiber.calls": {"parent": 80, "change": 80},
+                    "plumbing.vertices_copied": {"parent": 500, "change": 450}}
+    assert bench_pairs.work_lines(work) == [
+        "work plumbing.vertices_copied: parent 500, change 450 (-50)"]
+    assert bench_pairs.work_lines(bench_pairs.work_counts(parent, parent, per_layer)) == []

@@ -24,7 +24,13 @@ from negsphere.fibration import (
     validate,
 )
 from negsphere.plumbing import PlumbingGraph, oracle_square
-from negsphere.search import BlowupPlan, best_sphere, enumerate_specs, plan_provenance
+from negsphere.search import (
+    BlowupPlan,
+    best_sphere,
+    enumerate_specs,
+    plan_provenance,
+    replay_plan,
+)
 
 
 def spec_of(n, *names):
@@ -553,6 +559,9 @@ def test_a_search_formats_no_label_until_the_winner_labels_are_read(monkeypatch)
     monkeypatch.setattr(PlumbingGraph, "labels", property(counted))
     result = best_sphere(30, 50)
     assert reads == []
+    # a trace read, and so the result's JSON form, formats no label either
+    assert result.trace and result.to_json_dict()["trace"] == result.trace
+    assert reads == []
     read = result.graph.labels
     fragments_read = len(reads)
     attached = [rec for rec in result.trace if rec["op"] == "attach_fiber"]
@@ -561,3 +570,30 @@ def test_a_search_formats_no_label_until_the_winner_labels_are_read(monkeypatch)
     added = range(built.vertex_count, result.graph.vertex_count)
     assert read == built.labels + [f"e{w}" for w in added]
     assert result.graph.exceptional == built.exceptional + [True] * len(added)
+
+
+def _worked_and_won():
+    """The worked examples' graphs and seeded search winners' (default and
+    extended fibers), each with the spec and plan it was replayed from."""
+    for row in WORKED_EXAMPLES:
+        spec = reference_decomposition(row.n) if row.fibers is None else spec_of(row.n, *row.fibers)
+        plan = BlowupPlan(row.choices, row.edge_blowups, row.point_blowups)
+        yield spec, plan, replay_plan(spec, plan, k=row.k)
+    rng = random.Random(29)
+    pairs = [(rng.randint(2, 30), rng.randint(0, 50), None) for _ in range(12)]
+    pairs += [(rng.randint(2, 6), rng.randint(0, 10), FIBER_ORDER) for _ in range(4)]
+    for n, k, allowed in pairs:
+        result = best_sphere(n, k, allowed)
+        yield result.spec, result.plan, result.graph
+
+
+def test_the_trace_only_recipe_gives_the_full_recipes_trace():
+    for spec, plan, graph in _worked_and_won():
+        options = fibration.fiber_options(spec, plan.resolutions)
+        labels, trace = fibration._tree_provenance(spec, options)
+        assert fibration._tree_provenance(spec, options, labels=False) == (None, trace)
+        assert graph._base(False) == (None, trace)
+        assert len(labels) == build_tree(spec, plan.resolutions)[0].vertex_count
+        # the graph's trace read, with its blow-up records, is the full read's trace
+        assert graph.trace == graph._provenance()[1] == graph.to_json_dict()["trace"]
+        assert graph.trace[:len(trace)] == trace

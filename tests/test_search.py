@@ -218,6 +218,21 @@ def test_enumerate_specs_joins_the_specs_of_the_reference_walk(n, names):
     assert list(enumerate_specs(n, allowed)) == reference_specs(n, names)
 
 
+@pytest.mark.parametrize("n, allowed", [
+    *(pytest.param(n, None, id=f"default-{n}") for n in range(2, 10)),
+    *(pytest.param(n, FIBER_ORDER, id=f"all-types-{n}") for n in range(2, 6)),
+])
+def test_enumerated_specs_are_the_specs_the_checked_constructor_builds(n, allowed):
+    # enumerate_specs builds its specs without re-checking n and the names
+    for spec in enumerate_specs(n, allowed):
+        checked = FibrationSpec(n, spec.fibers)
+        assert type(spec) is FibrationSpec
+        assert (spec, hash(spec), repr(spec)) == (checked, hash(checked), repr(checked))
+        for name, value in (("n", n + 1), ("fibers", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(spec, name, value)
+
+
 def test_enumerate_specs_rejects_empty_set():
     with pytest.raises(ValueError, match="empty"):
         list(enumerate_specs(2, allowed=()))
