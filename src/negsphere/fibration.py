@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from . import sl2z
@@ -31,6 +31,9 @@ _EULER = {entry.name: entry.euler for entry in catalog()}
 _WORD = {entry.name: entry.word for entry in catalog()}
 _RANK = {entry.name: i for i, entry in enumerate(catalog())}
 _NAMES = frozenset(_EULER)
+# entries kept by each per-process memo (``_validate``, ``_tree_parts``), least
+# recently used dropped first: the guard grid's 1 479 searches win with 40 trees
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,7 +118,13 @@ def _trivial_monodromy(fibers) -> bool:
 
 
 def validate(spec: FibrationSpec) -> None:
-    """Check the two fibration invariants; raise ValidationError naming the failure."""
+    """Check the two fibration invariants; raise ValidationError naming the failure.
+    Memoised per (n, fibers); a failure is never stored, so it raises every time."""
+    _validate(spec)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _validate(spec: FibrationSpec) -> None:  # a spec hashes and compares as (n, fibers)
     as_nk(spec.n)
     total = spec.euler_sum()
     if total != 12 * spec.n:
@@ -248,18 +257,28 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     attachment vertex (the smoothed value is independent of this choice).
 
     Returns the tree and the blow-ups its options consume (resolutions and
-    replacements).  Only weights and edges are built here: the tree's
-    labels and trace are ``_tree_provenance``'s, made on every read.
+    replacements).  Every call validates the spec, then checks the resolutions.
+    The weights and edges are memoised per (n, fibers, resolution items), and each
+    call gets fresh lists, with no tree flag or coloring; the labels and
+    trace are ``_tree_provenance``'s, made on every read.
     """
     validate(spec)
     options = fiber_options(spec, resolutions)
-    graph = PlumbingGraph._deferred([-spec.n], partial(_tree_provenance, spec, options))
-    for option in options:
+    parts = _tree_parts(spec, tuple(sorted(resolutions.items())) if resolutions else ())
+    graph = PlumbingGraph._deferred(partial(_tree_provenance, spec, options), *parts)
+    return graph, sum(option.blowups for option in options)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _tree_parts(spec: FibrationSpec, resolution_items: tuple) -> tuple[tuple, tuple]:
+    """``build_tree``'s weights and edges: each fragment one block, joined by ``add_edge``."""
+    graph = PlumbingGraph([-spec.n])
+    for option in fiber_options(spec, dict(resolution_items)):
         fragment = option.fragment
         if fragment is not None:
             offset = graph._append(fragment.graph)
             graph.add_edge(0, offset + fragment.attachment)
-    return graph, sum(option.blowups for option in options)
+    return tuple(graph.weights), tuple(graph.edges)
 
 
 def _tree_provenance(spec: FibrationSpec, options, labels=True) -> tuple[list | None, list]:

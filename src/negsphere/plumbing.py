@@ -69,7 +69,11 @@ class PlumbingGraph:
         self._base, self._log = labels, None
         self._edge_set = self._tree = self._coloring = None
         self._cut = 0
-        for u, v in edges:
+        for edge in edges if hasattr(edges, "__iter__") else [edges]:
+            try:  # blow_up_edge's rule and message, copied: a helper call there slows each rewrite
+                u, v = edge
+            except (TypeError, ValueError):
+                raise PlumbingError(f"an edge must be two ends, got {edge!r}") from None
             self.add_edge(u, v)
 
     @classmethod
@@ -112,11 +116,11 @@ class PlumbingGraph:
         return offset
 
     @classmethod
-    def _deferred(cls, weights, provenance) -> "PlumbingGraph":
-        """A graph of ``weights`` and no edges whose labels and trace are those
-        ``provenance(labels)`` returns on every read (see ``_provenance``)."""
-        graph = cls(weights)
-        graph._base = provenance
+    def _deferred(cls, provenance, weights, edges) -> "PlumbingGraph":
+        """Fresh lists of ``weights`` and ``edges``, a checked graph's, taken unchecked, with
+        the labels and trace ``provenance(labels)`` returns on every read (see ``_provenance``)."""
+        graph = cls()
+        graph.weights, graph.edges, graph._base = list(weights), list(edges), provenance
         return graph
 
     # -- provenance: labels, exceptional flags and trace ---------------------
@@ -208,7 +212,7 @@ class PlumbingGraph:
         for end in ends:
             weights[end] -= 1
             edges.append((end, w))
-        # the one construction without the constructor's checks: a blow-up
+        # unchecked, as ``_deferred``'s copy of a checked graph: a blow-up
         # keeps every edge in range, loop-free and distinct
         out = object.__new__(PlumbingGraph)
         out.weights = weights

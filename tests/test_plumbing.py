@@ -653,6 +653,11 @@ def test_constructor_defaults_labels_and_flags_and_normalises_edges():
     ({"edges": [(0, True)]}, "edge ends must be integers, got (0, True)"),
     ({"edges": [(0, 1.0)]}, "edge ends must be integers, got (0, 1.0)"),
     ({"edges": [("0", 1)]}, "edge ends must be integers, got ('0', 1)"),
+    # once a bare ValueError or TypeError from unpacking; now blow_up_edge's rule
+    ({"edges": [(0, 1, 2)]}, "an edge must be two ends, got (0, 1, 2)"),
+    ({"edges": [5]}, "an edge must be two ends, got 5"),
+    ({"edges": [(0,)]}, "an edge must be two ends, got (0,)"),
+    ({"edges": 7}, "an edge must be two ends, got 7"),
 ])
 def test_constructor_rejects_bad_edges_and_misaligned_lists(fields, message):
     with pytest.raises(PlumbingError) as info:
