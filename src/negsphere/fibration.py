@@ -57,14 +57,6 @@ class FibrationSpec:
             for name in self.fibers:
                 fiber(name)  # raises, naming the first unknown type
 
-    @classmethod
-    def _of(cls, n: int, fibers: tuple[str, ...]) -> "FibrationSpec":
-        """A spec built without ``__post_init__``'s checks, for a caller that made them."""
-        spec = object.__new__(cls)
-        _SET_N(spec, n)
-        _SET_FIBERS(spec, fibers)
-        return spec
-
     @property
     def provenance(self) -> str:
         """``paper_verified`` when the source builds on this fiber multiset
@@ -83,7 +75,7 @@ class FibrationSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FibrationSpec":
-        json_object(data, "spec")
+        json_object(data, "spec", ("n", "fibers", "provenance"))
         for key in ("n", "fibers"):
             if key not in data:
                 raise ValidationError(f"spec has no {key!r} entry")
@@ -147,7 +139,7 @@ _RESIDUE_FIBERS = {
 # Validated reference specs by n, filled on first use.  Invalid n are
 # never stored, so they raise on every call.
 _REFERENCE_SPECS: dict[int, FibrationSpec] = {}
-# ``FibrationSpec._of``'s setters, the slots' own: cheaper than object.__setattr__
+# the slots' own setters, with which ``search.enumerate_specs`` builds its specs in place
 _SET_N, _SET_FIBERS = FibrationSpec.n.__set__, FibrationSpec.fibers.__set__
 
 

@@ -38,8 +38,12 @@ def json_key_int(key, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {key!r}")
 
 
-def json_object(data, what: str) -> dict:
-    """``data`` itself if it is a JSON object, else a ValidationError."""
+def json_object(data, what: str, keys=None) -> dict:
+    """``data`` itself if it is a JSON object with no key outside ``keys``
+    (any key when None), else a ValidationError naming the first other key."""
     if not isinstance(data, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for key in () if keys is None else data:
+        if key not in keys:
+            raise ValidationError(f"{what} has an unknown key {key!r} (known: {', '.join(keys)})")
     return data

@@ -31,6 +31,8 @@ from .fibration import (
     PAPER_VERIFIED,
     FibrationSpec,
     ValidationError,
+    _SET_FIBERS,
+    _SET_N,
     _fiber_names,
     _trivial_monodromy,
     betti,
@@ -110,7 +112,7 @@ class BlowupPlan:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "BlowupPlan":
-        json_object(data, "plan")
+        json_object(data, "plan", ("resolutions", "edge_blowups", "point_blowups"))
         resolutions: dict[int, str] = {}
         for key, choice in json_object(data.get("resolutions", {}), "plan 'resolutions'").items():
             i = json_key_int(key, "plan resolution index")
@@ -254,23 +256,44 @@ def enumerate_specs(n: int, allowed=None):
     automatically (ab)^{6n} = 1; with E7t, III or I1_nodal allowed each
     candidate's words are multiplied in canonical order, as ``validate``
     does, and non-trivial products are dropped.  That check, n and every
-    name are settled once per call, so each spec is built unchecked.
+    name are settled once per call, so each spec is built in place,
+    unchecked.  The walk is ``_iter_counts``'s loop without its hook, in
+    this frame: each prefix's fibers (``heads``) go down and back up with it.
     """
     n, _ = as_nk(n)
     names = _resolve_allowed(allowed)
     eulers = tuple(fiber(nm).euler for nm in names)
     ab_only = AB_POWER_FIBERS.issuperset(names)
     runs = [[(name,) * c for c in range(12 * n // e + 1)] for name, e in zip(names, eulers)]
+    last, e_last, last_runs = len(names) - 1, eulers[-1], runs[-1]
+    counts = [0] * len(names)
     heads = [()] * len(names)  # fibers of counts[:pos]: the head above plus one run
-
-    def carry(pos, remaining, counts):  # the walk's hook, which never prunes
-        if pos:
-            heads[pos] = heads[pos - 1] + runs[pos - 1][counts[pos - 1]]
-
-    for counts in _iter_counts(eulers, 12 * n, carry):
-        fibers = heads[-1] + runs[-1][counts[-1]]
-        if ab_only or _trivial_monodromy(fibers):
-            yield FibrationSpec._of(n, fibers)
+    new, set_n, set_fibers = object.__new__, _SET_N, _SET_FIBERS
+    pos, remaining = 0, 12 * n
+    while True:
+        if pos < last:  # take the largest count that fits, as _iter_counts does
+            c = counts[pos] = remaining // eulers[pos]
+            remaining -= c * eulers[pos]
+            pos += 1
+            heads[pos] = heads[pos - 1] + runs[pos - 1][c]
+            continue
+        if remaining % e_last == 0:
+            fibers = heads[last] + last_runs[remaining // e_last]
+            if ab_only or _trivial_monodromy(fibers):
+                spec = new(FibrationSpec)
+                set_n(spec, n)
+                set_fibers(spec, fibers)
+                yield spec
+        while pos:  # back up: the deepest nonzero count drops by one
+            pos -= 1
+            if counts[pos]:
+                counts[pos] -= 1
+                remaining += eulers[pos]
+                pos += 1
+                heads[pos] = heads[pos - 1] + runs[pos - 1][counts[pos - 1]]
+                break
+        else:
+            return
 
 
 # -- per-spec plan optimization ----------------------------------------------

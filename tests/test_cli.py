@@ -359,6 +359,13 @@ def test_exit_codes_stable(capsys):
     (dict(K3_IV, provenance=5), None, "spec 'provenance' must be a string, got 5"),
     (dict(K3_IV, provenance=["paper_verified"]), None,
      "spec 'provenance' must be a string, got ['paper_verified']"),
+    # a misspelled key is an error, never a default silently taken
+    (K3_IV, {"resolutions": {"2": "resolve"}, "edge_blowup": 2},
+     "plan has an unknown key 'edge_blowup' (known: resolutions, edge_blowups, point_blowups)"),
+    (K3_IV, {"resolution": {"2": "resolve"}}, "plan has an unknown key 'resolution'"),
+    (dict(K3_IV, provnance="paper_verified"), None,
+     "spec has an unknown key 'provnance' (known: n, fibers, provenance)"),
+    (dict(K3_IV, k=1), None, "spec has an unknown key 'k'"),
 ])
 def test_build_malformed_input_exits_2_with_one_line(tmp_path, capsys, spec, plan, message):
     spec_file = tmp_path / "spec.json"

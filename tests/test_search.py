@@ -218,6 +218,17 @@ def test_enumerate_specs_joins_the_specs_of_the_reference_walk(n, names):
     assert list(enumerate_specs(n, allowed)) == reference_specs(n, names)
 
 
+def test_enumerate_specs_joins_the_reference_walk_for_every_allowed_set():
+    # every non-empty set of catalog types, the one-type sets (a walk that never
+    # descends) and the two-type ones included, listed shuffled with a repeat
+    rng = random.Random(31)
+    for size in range(1, len(FIBER_ORDER) + 1):
+        for names in itertools.combinations(FIBER_ORDER, size):
+            listed = [*names, rng.choice(names)]
+            rng.shuffle(listed)
+            assert list(enumerate_specs(2, listed)) == reference_specs(2, names), listed
+
+
 @pytest.mark.parametrize("n, allowed", [
     *(pytest.param(n, None, id=f"default-{n}") for n in range(2, 10)),
     *(pytest.param(n, FIBER_ORDER, id=f"all-types-{n}") for n in range(2, 6)),
