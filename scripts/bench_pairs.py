@@ -29,7 +29,8 @@ depend on the machine.  The output file holds them under ``"work"`` as
 ``{metric: {"parent": ..., "change": ...}}``, and the script prints one
 stderr line for each count that differs between the sides.  The exit code
 is 0 when every run checked out (``correct``), 1 otherwise, and 2 when the
-script refuses to run.
+script refuses to run.  A SIGTERM ends the script as an exit would: the
+benchmark run in progress is killed and both snapshots are removed.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import argparse
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -173,6 +175,8 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # as SystemExit, a kill unwinds: subprocess.run kills its child, the snapshots go
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     try:
         root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").strip())
         bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))

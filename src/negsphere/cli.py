@@ -380,6 +380,9 @@ def main(argv=None) -> int:
     except NoSolutionError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
+    except AssertionError as exc:  # a cross-check failed: the oracle or the replay disagreed
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ValueError, OverflowError, OSError) as exc:
         # ValidationError, PlumbingError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import sl2z
@@ -31,8 +32,8 @@ _EULER = {entry.name: entry.euler for entry in catalog()}
 _WORD = {entry.name: entry.word for entry in catalog()}
 _RANK = {entry.name: i for i, entry in enumerate(catalog())}
 _NAMES = frozenset(_EULER)
-# entries kept by each per-process memo (``_validate``, ``_tree_parts``), least
-# recently used dropped first: the guard grid's 1 479 searches win with 40 trees
+# entries kept by each per-process memo (``_validate`` per spec, ``_tree_parts`` per
+# fragment tuple), least recently used dropped first: 40 trees win the guard grid
 _MEMO_SIZE = 256
 
 
@@ -250,26 +251,31 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
 
     Returns the tree and the blow-ups its options consume (resolutions and
     replacements).  Every call validates the spec, then checks the resolutions.
-    The weights and edges are memoised per (n, fibers, resolution items), and each
-    call gets fresh lists, with no tree flag or coloring; the labels and
-    trace are ``_tree_provenance``'s, made on every read.
+    The weights and edges are memoised per (n, each fiber's fragment), so plans
+    that attach the same fragments share an entry; each call gets fresh lists,
+    with no tree flag or coloring, and the labels and trace are
+    ``_tree_provenance``'s, made on every read.
     """
     validate(spec)
     options = fiber_options(spec, resolutions)
-    parts = _tree_parts(spec, tuple(sorted(resolutions.items())) if resolutions else ())
+    parts = _tree_parts(spec.n, tuple(map(attrgetter("fragment"), options)))  # a key built in C
     graph = PlumbingGraph._deferred(partial(_tree_provenance, spec, options), *parts)
     return graph, sum(option.blowups for option in options)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _tree_parts(spec: FibrationSpec, resolution_items: tuple) -> tuple[tuple, tuple]:
-    """``build_tree``'s weights and edges: each fragment one block, joined by ``add_edge``."""
-    graph = PlumbingGraph([-spec.n])
-    for option in fiber_options(spec, dict(resolution_items)):
-        fragment = option.fragment
+def _tree_parts(n: int, fragments: tuple) -> tuple[tuple, tuple]:
+    """``build_tree``'s weights and edges, checked by one constructor call: the
+    section, then each fragment (None attaches nothing) shifted past the vertices
+    before it, its edges followed by its edge to the section."""
+    weights, edges = [-n], []
+    for fragment in fragments:
         if fragment is not None:
-            offset = graph._append(fragment.graph)
-            graph.add_edge(0, offset + fragment.attachment)
+            offset = len(weights)
+            weights += fragment.graph.weights
+            edges += [(u + offset, v + offset) for u, v in fragment.graph.edges]
+            edges.append((0, offset + fragment.attachment))
+    graph = PlumbingGraph(weights, edges)
     return tuple(graph.weights), tuple(graph.edges)
 
 

@@ -97,24 +97,6 @@ class PlumbingGraph:
         self.edges.append(key)
         self._tree = self._coloring = None
 
-    def _append(self, tree: "PlumbingGraph") -> int:
-        """Append ``tree``'s weights and edges, these shifted by the index its
-        first vertex takes, and return that index; provenance is left alone,
-        so a graph a blow-up made refuses.  A tree's edges are in range,
-        loop-free and distinct, and stay so."""
-        if self._log is not None:
-            raise PlumbingError("a block is appended only to a graph no blow-up made")
-        if not tree.is_tree():
-            raise PlumbingError("only a connected tree is appended as a block")
-        offset = len(self.weights)
-        edges = [(u + offset, v + offset) for u, v in tree.edges]
-        self.weights += tree.weights
-        self.edges += edges
-        if self._edge_set is not None:
-            self._edge_set.update(edges)
-        self._tree = self._coloring = None
-        return offset
-
     @classmethod
     def _deferred(cls, provenance, weights, edges) -> "PlumbingGraph":
         """Fresh lists of ``weights`` and ``edges``, a checked graph's, taken unchecked, with

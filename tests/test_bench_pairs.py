@@ -1,8 +1,14 @@
-"""The paired benchmark script's summary and its working-tree snapshot,
-without running a benchmark."""
+"""The paired benchmark script's summary, its working-tree snapshot and its
+end under SIGTERM, without running the real benchmark."""
 
+import contextlib
 import importlib.util
+import json
+import os
+import signal
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -106,3 +112,41 @@ def test_work_keeps_each_sides_count_metrics_and_names_each_count_that_differs()
     assert bench_pairs.work_lines(work) == [
         "work plumbing.vertices_copied: parent 500, change 450 (-50)"]
     assert bench_pairs.work_lines(bench_pairs.work_counts(parent, parent, per_layer)) == []
+
+
+def test_a_terminated_run_kills_its_benchmark_and_removes_its_snapshots(tmp_path):
+    repo, tmp, pid_file = tmp_path / "repo", tmp_path / "tmp", tmp_path / "child.pid"
+    for directory in (repo / "src", repo / "bench", tmp):
+        directory.mkdir(parents=True)
+    (repo / "src" / "keep.py").write_text("")
+    (repo / "bench" / "keep.py").write_text("")
+    sleeper = (f"import os, time; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
+               "time.sleep(60)")
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "-c", sleeper], "paths": ["bench"], "run_seconds": 1,
+        "workloads": [{"name": "sleep"}], "end_to_end": [], "per_layer": []}))
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "first")
+
+    script = subprocess.Popen(
+        [sys.executable, str(_PATH), "--parent", "HEAD", "--workload", "sleep", "--pairs", "1",
+         "--first-seed", "0"],
+        cwd=repo, env={**os.environ, "TMPDIR": str(tmp)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not (pid_file.exists() and pid_file.read_text()):  # the benchmark has started
+            assert script.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        script.send_signal(signal.SIGTERM)
+        assert script.wait(timeout=30) == 128 + signal.SIGTERM
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid_file.read_text()), 0)  # killed and reaped by the script
+        assert list(tmp.glob("bench-pairs-*")) == []
+    finally:  # a failure leaves neither process running
+        script.kill()
+        script.wait()
+        if pid_file.exists() and pid_file.read_text():
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(int(pid_file.read_text()), signal.SIGKILL)

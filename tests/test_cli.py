@@ -5,6 +5,7 @@ import io
 import json
 import math
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +14,8 @@ from negsphere import cli, fibration, verify
 from negsphere import search as search_module
 from negsphere.cli import main
 from negsphere.fibers import FIBER_ORDER
-from negsphere.fibration import WORKED_EXAMPLES, FibrationSpec
+from negsphere.fibration import WORKED_EXAMPLES, FibrationSpec, reference_decomposition
+from negsphere.plumbing import PlumbingGraph, checked_square
 from negsphere.search import (
     BlowupPlan,
     best_sphere,
@@ -325,6 +327,50 @@ def test_exit_codes_stable(capsys):
     first = run(capsys, "formula", "7")
     second = run(capsys, "formula", "7")
     assert first == second
+
+
+def _smooth_one_too_low(monkeypatch):
+    smooth = PlumbingGraph.smooth
+    monkeypatch.setattr(PlumbingGraph, "smooth", lambda graph: smooth(graph) - 1)
+
+
+def _model_one_too_low(monkeypatch):
+    best_plan = search_module._best_plan_for_counts
+
+    def low(*args):
+        value, plan = best_plan(*args)
+        return value - 1, plan
+
+    monkeypatch.setattr(search_module, "_best_plan_for_counts", low)
+
+
+E6_CUSP_REPLACED = ({"n": 6, "fibers": ["E8t"] * 7 + ["II_cusp"]},
+                    {"resolutions": {"7": "replace"}, "edge_blowups": 2})
+
+
+@pytest.mark.parametrize("mutant, argv, message", [
+    (_smooth_one_too_low, ["formula", "6"], "smooth -263 != quadratic-form oracle -262"),
+    (_smooth_one_too_low, ["search", "2", "0"], "smooth -87 != quadratic-form oracle -86"),
+    (_smooth_one_too_low, ["build"], "smooth -280 != quadratic-form oracle -279"),
+    (_model_one_too_low, ["search", "6", "3"], "replay mismatch: model -280, checked square -279"),
+], ids=["smooth-formula", "smooth-search", "smooth-build", "model-search"])
+def test_a_failed_cross_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch, mutant, argv,
+                                                     message):
+    # a program fault, not bad input: reported as a verification failure, without a traceback
+    if argv == ["build"]:
+        argv = [*argv, *build_files(tmp_path, *E6_CUSP_REPLACED)]
+    mutant(monkeypatch)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"verification failed: {message}\n")
+
+
+@pytest.mark.parametrize("row", WORKED_EXAMPLES, ids=lambda row: f"E{row.n}#{row.k}-{row.what}")
+def test_search_running_total_ends_at_the_checked_square(row):
+    spec = (reference_decomposition(row.n) if row.fibers is None
+            else FibrationSpec(row.n, row.fibers))
+    plan = BlowupPlan(row.choices, row.edge_blowups, row.point_blowups)
+    totals = cli._running_totals(SimpleNamespace(spec=spec, plan=plan))
+    assert int(totals.split()[-1]) == checked_square(replay_plan(spec, plan, k=row.k)) == row.square
 
 
 @pytest.mark.parametrize("spec, plan, message", [

@@ -462,8 +462,7 @@ def test_construction_square_is_oracle_checked(monkeypatch):
 
 def _assembled(spec, resolutions):
     """The tree of ``spec`` made by one constructor call, which checks it
-    edge by edge rather than appending each fragment as a block, and the
-    trace ``build_tree`` records for it."""
+    edge by edge, labelled by hand, and the trace ``build_tree`` records for it."""
     weights, labels, edges = [-spec.n], ["section"], []
     trace = [{"op": "section", "n": spec.n, "vertex": 0}]
     for i, name in enumerate(spec.fibers):

@@ -1,5 +1,5 @@
 """The per-process memos of ``fibration``: ``validate``'s verdict per (n, fibers)
-and ``build_tree``'s weights and edges per (n, fibers, resolution items).  A memo
+and ``build_tree``'s weights and edges per (n, each fiber's fragment).  A memo
 changes how often work is done, never what a call returns or raises."""
 
 import random
@@ -73,14 +73,44 @@ def test_a_repeated_validation_multiplies_no_word(monkeypatch):
     assert len(words) == 1
 
 
+def _fragments(spec, resolutions):
+    """The key ``build_tree``'s memo files a tree under."""
+    return spec.n, tuple(option.fragment for option in fibration.fiber_options(spec, resolutions))
+
+
 def test_each_memo_holds_at_most_its_bound():
     specs = [spec for n in (2, 3, 4) for spec in enumerate_specs(n)]
-    assert len(specs) > fibration._MEMO_SIZE
-    for spec in specs:
+    plans = [{i: "skip" for i, name in enumerate(spec.fibers) if fiber(name).default is None}
+             for spec in specs]
+    trees = {_fragments(spec, plan) for spec, plan in zip(specs, plans)}
+    assert min(len(specs), len(trees)) > fibration._MEMO_SIZE
+    for spec, plan in zip(specs, plans):
         validate(spec)
-        build_tree(spec, {i: "skip" for i, name in enumerate(spec.fibers)
-                          if fiber(name).default is None})
-    for memo in (fibration._validate, fibration._tree_parts):
+        build_tree(spec, plan)
+    for memo, keys in ((fibration._validate, specs), (fibration._tree_parts, trees)):
         info = memo.cache_info()
         assert info.maxsize == fibration._MEMO_SIZE
-        assert info.misses == len(specs) and info.currsize == fibration._MEMO_SIZE
+        assert info.misses == len(keys) and info.currsize == fibration._MEMO_SIZE
+
+
+def test_build_tree_resolves_the_options_once_on_a_miss_and_on_a_hit(monkeypatch):
+    calls = []
+    options = fibration.fiber_options
+    monkeypatch.setattr(fibration, "fiber_options",
+                        lambda *args: calls.append(args) or options(*args))
+    spec = FibrationSpec(6, ("E8t",) * 7 + ("II_cusp",))
+    for built in (1, 2):
+        build_tree(spec, {7: "replace"})
+        info = fibration._tree_parts.cache_info()
+        assert (info.misses, info.hits, len(calls)) == (1, built - 1, built)
+
+
+def test_plans_that_attach_the_same_fragments_share_one_entry():
+    # the cusp is skipped either way; the second plan also names fiber 0's default
+    spec = FibrationSpec(6, ("E8t",) * 7 + ("II_cusp",))
+    plans = {7: "skip"}, {0: "use", 7: "skip"}
+    assert _fragments(spec, plans[0]) == _fragments(spec, plans[1])
+    (first, spent), (second, spent_too) = (build_tree(spec, plan) for plan in plans)
+    info = fibration._tree_parts.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert first == second and spent == spent_too == 0
