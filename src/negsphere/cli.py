@@ -19,7 +19,7 @@ from .fibration import (
     construction_square,
     fiber_options,
 )
-from .plumbing import checked_square, dot_graph
+from .plumbing import dot_graph
 from .search import (
     CANDIDATE_CONSTANT,
     MAX_K,
@@ -29,8 +29,7 @@ from .search import (
     best_sphere,
     check_desk_scale,
     conjecture_check,
-    plan_provenance,
-    replay_plan,
+    realize,
 )
 from .verify import run_battery
 
@@ -228,9 +227,8 @@ def _cmd_build(args) -> int:
         )
     spent = plan.total_blowups(spec)
     check_desk_scale(spec.n, spent, args.max_n, args.max_k)
-    graph = replay_plan(spec, plan)  # build_tree validates the spec
-    square = checked_square(graph)
-    provenance = plan_provenance(spec, plan)  # the file's claim is not read
+    result = realize(spec, plan, spent)  # validates the spec; ignores the file's provenance
+    graph, square, provenance = result.graph, result.best_square, result.provenance
     if args.dot:
         _write_dot(args.dot, graph.to_dot())
     if args.json:

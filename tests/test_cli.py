@@ -13,13 +13,19 @@ from hypothesis import example, given, settings, strategies as st
 from negsphere import cli, fibration, verify
 from negsphere import search as search_module
 from negsphere.cli import main
-from negsphere.fibers import FIBER_ORDER
-from negsphere.fibration import WORKED_EXAMPLES, FibrationSpec, reference_decomposition
+from negsphere.fibers import FIBER_ORDER, fiber
+from negsphere.fibration import (
+    WORKED_EXAMPLES,
+    FibrationSpec,
+    ValidationError,
+    reference_decomposition,
+)
 from negsphere.plumbing import PlumbingGraph, checked_square
 from negsphere.search import (
     BlowupPlan,
     best_sphere,
     conjecture_check,
+    realize,
     replay_plan,
 )
 
@@ -173,7 +179,8 @@ def test_build_json_graph(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["smooth"] == payload["oracle"] == -86 - 2 * 5 - 4
-    replayed = replay_plan(FibrationSpec.from_json_dict(spec), BlowupPlan.from_json_dict(plan))
+    replayed = replay_plan(FibrationSpec.from_json_dict(spec), BlowupPlan.from_json_dict(plan),
+                           k=payload["blowups_used"])
     assert payload["graph"] == replayed.to_json_dict()
     weights = [vertex["weight"] for vertex in payload["graph"]["vertices"]]
     assert sum(weights) - 2 * len(payload["graph"]["edges"]) == payload["smooth"]
@@ -539,18 +546,67 @@ def test_formula_guard_exits_2_quickly(capsys):
     assert code == 0 and "s(30) =" in out
 
 
-def test_build_replays_a_search_plan_at_the_guard(tmp_path, capsys):
-    code, out, _ = run(capsys, "search", "2", "50", "--json")
+_FLIPPED = {"paper_verified": "assumed_realizable", "assumed_realizable": "paper_verified"}
+
+
+@pytest.mark.parametrize("n, k", [(2, 50), (6, 3)])
+def test_build_replays_a_search_plan_at_the_guard(tmp_path, capsys, n, k):
+    found_dot, built_dot = tmp_path / "found.dot", tmp_path / "built.dot"
+    code, out, _ = run(capsys, "search", str(n), str(k), "--json", "--dot", str(found_dot))
     assert code == 0
     found = json.loads(out)
-    spec_file, plan_file = tmp_path / "spec.json", tmp_path / "plan.json"
-    spec_file.write_text(json.dumps(found["spec"]))
-    plan_file.write_text(json.dumps(found["plan"]))
-    code, out, _ = run(capsys, "build", str(spec_file), "--plan", str(plan_file), "--json")
+    # the spec file claims the opposite provenance, which build must ignore
+    spec = dict(found["spec"], provenance=_FLIPPED[found["spec"]["provenance"]])
+    argv = build_files(tmp_path, spec, found["plan"])
+    code, out, _ = run(capsys, "build", *argv, "--json", "--dot", str(built_dot))
     assert code == 0
     built = json.loads(out)
     assert built["smooth"] == built["oracle"] == found["best_square"]
-    assert built["blowups_used"] == 50
+    assert built["blowups_used"] == k
+    assert built["provenance"] == found["provenance"]
+    assert built["spec"]["provenance"] == found["spec"]["provenance"]
+    assert built["graph"]["trace"] == found["trace"]
+    assert built_dot.read_bytes() == found_dot.read_bytes()  # boxed blow-up spheres included
+
+
+_SPECS_UP_TO_4 = [spec for n in (2, 3, 4) for spec in search_module.enumerate_specs(n)]
+# the 4 multisets the source builds on, where the plan decides the provenance
+_DOCUMENTED_UP_TO_4 = [spec for spec in _SPECS_UP_TO_4 if spec.provenance == "paper_verified"]
+
+
+@st.composite
+def _spec_and_plan(draw):
+    """A spec of E(2..4) and a plan that replays: every fiber takes a choice
+    its type offers, and edge blow-ups find an edge."""
+    spec = draw(st.sampled_from(_DOCUMENTED_UP_TO_4) | st.sampled_from(_SPECS_UP_TO_4))
+    choices = [draw(st.sampled_from([o.choice for o in fiber(name).options]))
+               for name in spec.fibers]
+    bare = all(fiber(name).option(c).fragment is None for name, c in zip(spec.fibers, choices))
+    points = draw(st.integers(0, 2))
+    edges = draw(st.integers(0, 0 if bare and not points else 3))
+    return spec, BlowupPlan(dict(enumerate(choices)), edges, points)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spec_and_plan())
+@example((reference_decomposition(2), BlowupPlan()))  # on the source's pattern
+@example((reference_decomposition(2), BlowupPlan({2: "skip"}, 1)))  # off it, same multiset
+def test_build_json_is_realize_at_the_plans_own_budget(tmp_path_factory, spec_and_plan):
+    spec, plan = spec_and_plan
+    k = plan.total_blowups(spec)
+    argv = build_files(tmp_path_factory.mktemp("realize"), spec.to_json_dict(), plan.to_json_dict())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["build", *argv, "--json", "--max-k", str(k)]) == 0
+    built = json.loads(out.getvalue())
+    result = realize(spec, plan, k)
+    assert (built["smooth"], built["blowups_used"], built["provenance"], built["graph"]) == (
+        result.best_square, k, result.provenance, result.graph.to_json_dict())
+    for budget in (k - 1, k + 1):
+        if budget >= 0:
+            with pytest.raises(ValidationError,
+                               match=f"^plan spends {k} blow-ups, budget is {budget}$"):
+                realize(spec, plan, budget)
 
 
 def test_build_validates_the_spec_once(tmp_path, capsys, monkeypatch):

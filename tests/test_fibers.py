@@ -4,6 +4,7 @@ from negsphere import sl2z
 from negsphere.fibers import (
     AB_POWER_FIBERS,
     FIBER_ORDER,
+    FiberType,
     PlumbingFragment,
     catalog,
     catalog_json,
@@ -34,6 +35,12 @@ def test_words_and_euler_numbers():
     for entry in catalog():
         assert entry.word == EXPECTED_WORDS[entry.name]
         assert entry.euler == len(entry.word)
+
+
+def test_a_fiber_type_whose_euler_number_is_not_its_word_length_is_refused():
+    # verify-paper's catalog item has no row for this: no such type can be built
+    with pytest.raises(ValueError, match=r"^X: Euler number 3 != word length 2$"):
+        FiberType("X", "ab", 3, ())
 
 
 def test_fragment_and_resolution_presence():

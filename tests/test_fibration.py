@@ -26,9 +26,9 @@ from negsphere.fibration import (
 from negsphere.plumbing import PlumbingGraph, oracle_square
 from negsphere.search import (
     BlowupPlan,
+    SearchResult,
     best_sphere,
     enumerate_specs,
-    plan_provenance,
     replay_plan,
 )
 
@@ -89,7 +89,8 @@ def test_every_order_of_a_worked_example_has_its_provenance(row):
         # each row makes its choice on the one fiber of that type
         choices = {fibers.index(canonical[i]): c for i, c in row.choices.items()}
         assert spec.provenance == PAPER_VERIFIED
-        assert plan_provenance(spec, BlowupPlan(choices, row.edge_blowups)) == PAPER_VERIFIED
+        plan = BlowupPlan(choices, row.edge_blowups)
+        assert SearchResult(row.n, row.k, row.square, spec, plan).provenance == PAPER_VERIFIED
 
 
 @given(st.integers(-3, 40), st.lists(st.sampled_from([e.name for e in catalog()]), max_size=12))

@@ -24,6 +24,8 @@ LIBRARY_CLAIMS = [
     ("result = ns.best_sphere(6, 3)", "-279", "result.best_square", -279),
     ("result.graph.to_dot()", "the replayed graph", "result.graph.to_dot().startswith('graph ')",
      True),
+    ("ns.search.realize(result.spec, result.plan, 3)", "the same result",
+     "ns.search.realize(result.spec, result.plan, 3) == result", True),
     ("ns.conjecture_check(result)", "(Fraction(-279, 73), True)", "ns.conjecture_check(result)",
      (Fraction(-279, 73), True)),
     ("option.fragment.graph.weights, option.blowups", "([-1, -3, -3, -3], 1)",

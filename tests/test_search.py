@@ -31,7 +31,6 @@ from negsphere.search import (
     blowup_guarantee,
     conjecture_check,
     enumerate_specs,
-    plan_provenance,
     replay_plan,
 )
 
@@ -454,7 +453,8 @@ def test_property_heap_replay_matches_a_min_scan(n, edge_blowups, point_blowups,
     spec = reference_decomposition(n)
     resolutions = {i: "skip" for i in range(len(spec.fibers))} if bare else {}
     plan = BlowupPlan(resolutions, edge_blowups=edge_blowups, point_blowups=point_blowups)
-    assert (_json_or_error(replay_plan, spec, plan)
+    k = edge_blowups + point_blowups  # the reference fibers' use and skip cost none
+    assert (_json_or_error(lambda spec, plan: replay_plan(spec, plan, k), spec, plan)
             == _json_or_error(_replayed_by_min_scan, spec, plan))
 
 
@@ -585,7 +585,8 @@ _E2_TWO_CUSPS = FibrationSpec(n=2, fibers=("E8t", "E8t", "II_cusp", "II_cusp"))
 def test_a_plan_build_tree_rejects_is_rejected_alike_by_every_reader(spec, plan):
     with pytest.raises(ValidationError) as built:
         build_tree(spec, plan.resolutions)
-    for reader in (plan_provenance, lambda spec, plan: plan.total_blowups(spec)):
+    for reader in (lambda spec, plan: SearchResult(spec.n, 0, 0, spec, plan).provenance,
+                   lambda spec, plan: plan.total_blowups(spec)):
         with pytest.raises(ValidationError) as read:
             reader(spec, plan)
         assert str(read.value) == str(built.value)
@@ -617,7 +618,7 @@ def test_plan_choices_must_be_strings(choice):
 
 def test_replay_rejects_resolution_index_past_last_fiber():
     with pytest.raises(ValidationError, match="index 9 out of range"):
-        replay_plan(reference_decomposition(2), BlowupPlan({9: "resolve"}))
+        replay_plan(reference_decomposition(2), BlowupPlan({9: "resolve"}), k=3)
 
 
 def test_equal_plans_hash_equal_and_work_as_set_members():
