@@ -195,7 +195,7 @@ def _cmd_formula(args) -> int:
 
 def _spec_summary(spec: FibrationSpec) -> str:
     counts = Counter(spec.fibers)  # first-seen order
-    return " + ".join(f"{count} x {name}" for name, count in counts.items()) or "(no fibers)"
+    return " + ".join(f"{count} x {name}" for name, count in counts.items())
 
 
 def _unique_keys(pairs) -> dict:
@@ -254,6 +254,7 @@ def _cmd_build(args) -> int:
 
 
 def _running_totals(result) -> str:
+    """The model's sum, step by step; AssertionError unless it ends at the checked square."""
     spec, plan = result.spec, result.plan
     total = -spec.n
     steps = [f"section {total}"]
@@ -271,6 +272,8 @@ def _running_totals(result) -> str:
     if plan.edge_blowups:
         total -= 5 * plan.edge_blowups
         steps.append(f"{plan.edge_blowups} edge blow-ups -> {total}")
+    if total != result.best_square:
+        raise AssertionError(f"running total {total} != checked square {result.best_square}")
     return "; ".join(steps)
 
 
@@ -284,6 +287,7 @@ def _cmd_search(args) -> int:
         payload["satisfies_candidate_bound"] = satisfies
         _print_json(payload)
         return EXIT_OK
+    totals = _running_totals(result)  # checked before anything is printed
     print(f"best sphere in E({args.n}) # {args.k} CP2bar: self-intersection {result.best_square}")
     print(f"spec: {_spec_summary(result.spec)} (Euler sum {result.spec.euler_sum()} "
           f"= 12*{args.n})  [{result.provenance}]")
@@ -296,7 +300,7 @@ def _cmd_search(args) -> int:
         f"point blow-ups: {result.plan.point_blowups}",
     ]
     print(f"plan: {'; '.join(plan_bits)} (budget {args.k} spent exactly)")
-    print(f"running total: {_running_totals(result)}")
+    print(f"running total: {totals}")
     b2 = betti(args.n, args.k).b2
     print(f"b2 = {b2}, ratio = {ratio} ~ {float(ratio):.4f}, "
           f"candidate bound {CANDIDATE_CONSTANT}: "

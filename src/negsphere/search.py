@@ -199,48 +199,6 @@ def _resolve_allowed(allowed) -> tuple[str, ...]:
 # -- spec enumeration ---------------------------------------------------------
 
 
-def _iter_counts(eulers: tuple[int, ...], total: int, prune=None):
-    """All count vectors with sum(count * euler) == total, lexicographically
-    by the expanded canonical fiber sequence (descending leading counts).
-
-    ``prune(pos, remaining, counts)``, when given, is asked at every inner
-    node (counts[:pos] placed, counts[pos:] zero, ``remaining`` Euler sum
-    left), the last type's included; a true answer skips the node's
-    subtree.  Leaves are not asked: the last type's count is forced, so its
-    parent's answer stands for the one leaf under it.
-
-    The walk is one loop in one generator frame: a recursive walk resumes a
-    nested frame per type for every vector.  ``counts`` is its stack: a node
-    takes the largest count that fits; backing up drops the deepest nonzero
-    count by one and gives its Euler number back to ``remaining``.
-    """
-    m = len(eulers)
-    last, e_last = m - 1, eulers[-1]
-    counts = [0] * m
-    pos, remaining = 0, total
-    while True:
-        if prune is None or not prune(pos, remaining, counts):
-            if pos < last:
-                c = counts[pos] = remaining // eulers[pos]
-                remaining -= c * eulers[pos]
-                pos += 1
-                continue
-            # the last type takes what is left, when its Euler number divides it
-            if remaining % e_last == 0:
-                counts[last] = remaining // e_last
-                yield tuple(counts)
-                counts[last] = 0
-        while pos:
-            pos -= 1
-            if counts[pos]:
-                counts[pos] -= 1
-                remaining += eulers[pos]
-                pos += 1
-                break
-        else:
-            return
-
-
 def enumerate_specs(n: int, allowed=None):
     """Yield every valid fibration spec over the allowed fiber types.
 
@@ -252,8 +210,9 @@ def enumerate_specs(n: int, allowed=None):
     candidate's words are multiplied in canonical order, as ``validate``
     does, and non-trivial products are dropped.  That check, n and every
     name are settled once per call, so each spec is built in place,
-    unchecked.  The walk is ``_iter_counts``'s loop without its hook, in
-    this frame: each prefix's fibers (``heads``) go down and back up with it.
+    unchecked.  As in ``_dfs_best``, the walk is one loop in this frame with
+    ``counts`` as its stack, leading counts descending; each prefix's
+    fibers (``heads``) go down and back up with it.
     """
     n, _ = as_nk(n)
     names = _resolve_allowed(allowed)
@@ -266,7 +225,7 @@ def enumerate_specs(n: int, allowed=None):
     new, set_n, set_fibers = object.__new__, _SET_N, _SET_FIBERS
     pos, remaining = 0, 12 * n
     while True:
-        if pos < last:  # take the largest count that fits, as _iter_counts does
+        if pos < last:  # take the largest count that fits
             c = counts[pos] = remaining // eulers[pos]
             remaining -= c * eulers[pos]
             pos += 1
@@ -365,13 +324,16 @@ def _plan_from_counts(names, plan) -> BlowupPlan:
 
 
 def _dfs_best(n, k, names):
-    """Best (value, fibers, plan) over all specs, or None.
+    """(best, nodes): the best (value, fibers, plan) over all specs, or
+    None, and the count of nodes whose bound the walk tested.
 
-    The walk's order is the tie-break order, so only a strictly smaller
-    value replaces the best.  A node's bound: the placed counts at their
-    types' best adjusted gains, plus each unplaced Euler unit at the best
-    rate among the types at or after ``pos`` (only those can fill it),
-    scaled by the lcm of the Euler numbers to stay integral.
+    The walk is ``enumerate_specs``'s, in this frame: its order is the
+    tie-break order, so only a strictly smaller value replaces the best.
+    Every node but a leaf tests its bound: the placed counts at their types'
+    best adjusted gains, plus each unplaced Euler unit at the best rate among
+    the types at or after ``pos`` (only those can fill it), scaled by the lcm
+    of the Euler numbers to stay integral.  A bound no better than the best
+    skips the node's subtree.
     """
     eulers = tuple(fiber(nm).euler for nm in names)
     adj = tuple(_BEST_ADJ[nm] for nm in names)
@@ -380,24 +342,40 @@ def _dfs_best(n, k, names):
     rates = [0] * (m + 1)  # every best adjusted gain is <= 0 (skip gives 0)
     for pos in reversed(range(m)):
         rates[pos] = min(rates[pos + 1], adj[pos] * (scale // eulers[pos]))
+    last, e_last = m - 1, eulers[-1]
+    counts = [0] * m
     partial = [(-n - 5 * k) * scale] + [0] * m  # scaled bound of counts[:pos]
     heads = [()] * m  # fibers of counts[:pos]; ~25 nodes a search do not pay for a run table
     ab_only = AB_POWER_FIBERS.issuperset(names)
-    best = None
-
-    def prune(pos, remaining, counts):
+    best, nodes = None, 0
+    pos, remaining = 0, 12 * n
+    while True:
         if pos:
             partial[pos] = partial[pos - 1] + counts[pos - 1] * adj[pos - 1] * scale
             heads[pos] = heads[pos - 1] + (names[pos - 1],) * counts[pos - 1]
-        return best is not None and partial[pos] + rates[pos] * remaining >= best[0] * scale
-
-    for counts in _iter_counts(eulers, 12 * n, prune):
-        fibers = heads[-1] + (names[-1],) * counts[-1]
-        if ab_only or _trivial_monodromy(fibers):
-            value, plan = _best_plan_for_counts(n, k, names, counts)
-            if best is None or value < best[0]:
-                best = (value, fibers, plan)
-    return best
+        nodes += 1
+        if best is None or partial[pos] + rates[pos] * remaining < best[0] * scale:
+            if pos < last:  # take the largest count that fits
+                c = counts[pos] = remaining // eulers[pos]
+                remaining -= c * eulers[pos]
+                pos += 1
+                continue
+            if remaining % e_last == 0:  # the last type takes what is left
+                counts[last] = remaining // e_last
+                fibers = heads[last] + (names[last],) * counts[last]
+                if ab_only or _trivial_monodromy(fibers):
+                    value, plan = _best_plan_for_counts(n, k, names, tuple(counts))
+                    if best is None or value < best[0]:
+                        best = (value, fibers, plan)
+        while pos:  # back up: the deepest nonzero count drops by one
+            pos -= 1
+            if counts[pos]:
+                counts[pos] -= 1
+                remaining += eulers[pos]
+                pos += 1
+                break
+        else:
+            return best, nodes
 
 
 def check_desk_scale(n: int, k: int, max_n: int = MAX_N, max_k: int = MAX_K) -> None:
@@ -476,7 +454,7 @@ def best_sphere(
     n, k = as_nk(n, k)
     check_desk_scale(n, k, max_n, max_k)
     names = _resolve_allowed(allowed)
-    found = _dfs_best(n, k, names)
+    found, _nodes = _dfs_best(n, k, names)
     if found is None:
         raise NoSolutionError(
             f"no valid fibration decomposition for n={n} over fibers {list(names)}"

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -351,6 +352,16 @@ def _model_one_too_low(monkeypatch):
     monkeypatch.setattr(search_module, "_best_plan_for_counts", low)
 
 
+def _reported_square_one_too_low(monkeypatch):
+    best_sphere = cli.best_sphere
+
+    def low(*args, **kwargs):
+        result = best_sphere(*args, **kwargs)
+        return dataclasses.replace(result, best_square=result.best_square - 1)
+
+    monkeypatch.setattr(cli, "best_sphere", low)
+
+
 E6_CUSP_REPLACED = ({"n": 6, "fibers": ["E8t"] * 7 + ["II_cusp"]},
                     {"resolutions": {"7": "replace"}, "edge_blowups": 2})
 
@@ -360,7 +371,9 @@ E6_CUSP_REPLACED = ({"n": 6, "fibers": ["E8t"] * 7 + ["II_cusp"]},
     (_smooth_one_too_low, ["search", "2", "0"], "smooth -87 != quadratic-form oracle -86"),
     (_smooth_one_too_low, ["build"], "smooth -280 != quadratic-form oracle -279"),
     (_model_one_too_low, ["search", "6", "3"], "replay mismatch: model -280, checked square -279"),
-], ids=["smooth-formula", "smooth-search", "smooth-build", "model-search"])
+    (_reported_square_one_too_low, ["search", "6", "3"], "running total -279 != checked square -280"),
+], ids=["smooth-formula", "smooth-search", "smooth-build", "model-search",
+        "running-total-search"])
 def test_a_failed_cross_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch, mutant, argv,
                                                      message):
     # a program fault, not bad input: reported as a verification failure, without a traceback
@@ -376,8 +389,13 @@ def test_search_running_total_ends_at_the_checked_square(row):
     spec = (reference_decomposition(row.n) if row.fibers is None
             else FibrationSpec(row.n, row.fibers))
     plan = BlowupPlan(row.choices, row.edge_blowups, row.point_blowups)
-    totals = cli._running_totals(SimpleNamespace(spec=spec, plan=plan))
-    assert int(totals.split()[-1]) == checked_square(replay_plan(spec, plan, k=row.k)) == row.square
+    square = checked_square(replay_plan(spec, plan, k=row.k))
+    totals = cli._running_totals(SimpleNamespace(spec=spec, plan=plan, best_square=square))
+    assert int(totals.split()[-1]) == square == row.square
+    # a square one off the model's sum is a failed cross-check
+    message = f"^running total {square} != checked square {square + 1}$"
+    with pytest.raises(AssertionError, match=message):
+        cli._running_totals(SimpleNamespace(spec=spec, plan=plan, best_square=square + 1))
 
 
 @pytest.mark.parametrize("spec, plan, message", [

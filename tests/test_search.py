@@ -133,8 +133,10 @@ def test_extended_enumeration_is_a_per_spec_monodromy_filter(n):
 
 
 def recursive_iter_counts(eulers, total, prune=None):
-    """The recursive walk ``search._iter_counts`` replaced, kept as its
-    reference: one nested generator frame per placed type."""
+    """The count walk that ``enumerate_specs`` and ``search._dfs_best`` each
+    run as one loop in their own frame, kept as their reference: one nested
+    generator frame per placed type.  ``prune(pos, remaining, counts)``, when
+    given, is asked at every node but a leaf; a true answer skips its subtree."""
     m = len(eulers)
     counts = [0] * m
 
@@ -166,40 +168,37 @@ def list_expand(names, counts):
     return tuple(out)
 
 
-def walk_log(walk, eulers, total, divisor):
-    """The vectors a walk yields and the prune calls it makes, by a prune
-    that answers from a hash of its arguments (none when ``divisor`` is None)."""
-    calls = []
+def reference_best(n, k, names):
+    """``search._dfs_best``'s (best, nodes) by the recursive walk and this
+    copy of the bound its docstring gives, in exact fractions."""
+    eulers = [fiber(name).euler for name in names]
+    adj = [min(option.adjusted_gain for option in fiber(name).options) for name in names]
+    best, nodes = None, 0
 
     def prune(pos, remaining, counts):
-        calls.append((pos, remaining, tuple(counts)))
-        return hash((pos, remaining, tuple(counts))) % divisor == 0
+        nonlocal nodes
+        nodes += 1
+        placed = -n - 5 * k + sum(c * a for c, a in zip(counts[:pos], adj))
+        rate = min([Fraction(0), *map(Fraction, adj[pos:], eulers[pos:])])
+        return best is not None and placed + rate * remaining >= best[0]
 
-    vectors = list(walk(eulers, total, None if divisor is None else prune))
-    return vectors, calls
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    eulers=st.sets(st.integers(1, 12), min_size=1, max_size=6).map(
-        lambda values: tuple(sorted(values, reverse=True))),
-    total=st.integers(0, 120),
-    divisor=st.none() | st.integers(2, 7),
-)
-def test_the_flat_walk_yields_and_prunes_as_the_recursive_walk(eulers, total, divisor):
-    assert walk_log(search._iter_counts, eulers, total, divisor) == walk_log(
-        recursive_iter_counts, eulers, total, divisor)
+    for counts in recursive_iter_counts(eulers, 12 * n, prune):
+        fibers = list_expand(names, counts)
+        if _trivial_monodromy(fibers):
+            value, plan = search._best_plan_for_counts(n, k, names, counts)
+            if best is None or value < best[0]:
+                best = (value, fibers, plan)
+    return best, nodes
 
 
-def test_a_walk_pruned_at_its_root_yields_nothing():
-    calls = []
-
-    def prune(*node):
-        calls.append(node)
-        return True
-
-    assert list(search._iter_counts((10, 8, 6, 4, 2), 24, prune)) == []
-    assert calls == [(0, 24, [0] * 5)]
+def test_the_flat_walk_yields_and_prunes_as_the_recursive_walk():
+    # every non-empty set of catalog types at n = 2, the one-type sets (a walk
+    # that never descends) included, and the default types at larger n
+    cases = [(2, k, names) for size in range(1, len(FIBER_ORDER) + 1)
+             for names in itertools.combinations(FIBER_ORDER, size) for k in (0, 1, 3)]
+    cases += [(n, k, search.DEFAULT_FIBERS) for n in range(2, 9) for k in (0, 1, 3, 10)]
+    for n, k, names in cases:
+        assert search._dfs_best(n, k, names) == reference_best(n, k, names), (n, k, names)
 
 
 def reference_specs(n, names):
@@ -533,21 +532,21 @@ def test_search_results_deterministic_across_calls():
 def test_branch_and_bound_node_count_over_the_guard_grid(monkeypatch):
     # a weaker bound (or a prune that tests ">" for ">=") still finds every
     # optimum, so only the walk's size shows it
-    calls = {"nodes": 0, "leaves": 0}
-    iter_counts = search._iter_counts
-
-    def counting(eulers, total, prune=None):
-        def counted(pos, remaining, counts):
-            calls["nodes"] += 1
-            calls["leaves"] += pos == len(eulers)
-            return prune(pos, remaining, counts)
-        return iter_counts(eulers, total, None if prune is None else counted)
-
-    monkeypatch.setattr(search, "_iter_counts", counting)
+    walks, plans = [], []
+    dfs_best, best_plan = search._dfs_best, search._best_plan_for_counts
+    monkeypatch.setattr(search, "_dfs_best",
+                        lambda *args: walks.append(dfs_best(*args)) or walks[-1])
+    monkeypatch.setattr(search, "_best_plan_for_counts",
+                        lambda *args: plans.append(args) or best_plan(*args))
     for n in range(2, 31):
         for k in range(51):
             best_sphere(n, k)
-    assert calls == {"nodes": 36198, "leaves": 0}
+    assert (sum(nodes for _best, nodes in walks), len(plans)) == (36198, 1506)
+
+
+def test_branch_and_bound_node_count_over_every_fiber_type():
+    nodes = sum(search._dfs_best(n, k, FIBER_ORDER)[1] for n in range(2, 13) for k in range(11))
+    assert nodes == 2751
 
 
 def test_enumerate_specs_validates_the_reference_once(monkeypatch):
