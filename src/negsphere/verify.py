@@ -117,7 +117,7 @@ def _check_chain_identity():
     # x + y - 2 - 5k for two spheres meeting once, over every blow-up sequence
     for x in range(-6, 0):
         for y in range(-6, 0):
-            frontier = [PlumbingGraph.from_weights([x, y], [(0, 1)])]
+            frontier = [PlumbingGraph([x, y], [(0, 1)])]
             for k in range(0, 5):
                 for graph in frontier:
                     if graph.smooth() != x + y - 2 - 5 * k:

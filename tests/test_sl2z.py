@@ -1,9 +1,8 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from negsphere import sl2z
 from negsphere.sl2z import GroupElement, IDENTITY, compose, generator, is_identity, word_to_matrix
 
 
@@ -132,15 +131,11 @@ def test_determinant_enforced():
         GroupElement(2, 0, 0, 2)
 
 
-def test_overflow_rejected_on_construction():
-    with pytest.raises(OverflowError):
-        GroupElement(1, 2**63, 0, 1)
-
-
-def test_overflow_rejected_on_compose():
-    big = GroupElement(1, 2**63 - 1, 0, 1)
-    with pytest.raises(OverflowError):
-        compose(big, generator("a"))
+def test_entries_past_64_bits_are_exact():
+    big = GroupElement(1, 2**63, 0, 1)
+    assert big.to_lists() == [[1, 2**63], [0, 1]]
+    product = compose(big, generator("a"))
+    assert product.to_lists() == mat_mul(big.to_lists(), generator("a").to_lists())
 
 
 def test_serialization_round_trip():
@@ -174,40 +169,32 @@ def _positive_inverse(word):
     return "".join(inverse[ch] for ch in reversed(word))
 
 
-def test_overflow_raised_partway_through_a_word_that_multiplies_to_one():
-    # a^5 b has trace -3, so its powers grow; the word times its positive
-    # inverse is the identity, but the entries pass 2^63 on the way
-    half = "aaaaab" * 50
-    word = half + _positive_inverse(half)
+def _leaves_64_bits(rows):
+    return any(not -(2**63) <= x < 2**63 for row in rows for x in row)
+
+
+# a^5 b has trace -3, so its powers grow: this word's entries leave the
+# signed 64-bit range
+_PAST_64_BITS = "aaaaab" * 50
+
+
+def test_a_word_that_passes_64_bits_and_multiplies_to_one_is_exact():
+    # the word times its positive inverse is the identity, but the entries
+    # pass 2^63 on the way
+    word = _PAST_64_BITS + _positive_inverse(_PAST_64_BITS)
     product, first = [[1, 0], [0, 1]], None
     for t, ch in enumerate(word, start=1):
         product = mat_mul(product, mat_word(ch))
-        if first is None and any(not sl2z.INT64_MIN <= x <= sl2z.INT64_MAX
-                                 for row in product for x in row):
+        if first is None and _leaves_64_bits(product):
             first = t
-    assert product == [[1, 0], [0, 1]] and first is not None and first < len(half)
-    word_to_matrix(word[:first - 1])  # the step before is still inside 64 bits
-    for prefix in (word[:first], word):
-        with pytest.raises(OverflowError, match="64-bit"):
-            word_to_matrix(prefix)
+    assert product == [[1, 0], [0, 1]] and first is not None and first < len(_PAST_64_BITS)
+    prefix = word_to_matrix(word[:first]).to_lists()
+    assert _leaves_64_bits(prefix) and prefix == mat_word(word[:first])
+    assert word_to_matrix(word) == IDENTITY
 
 
-def _reference_fold(word):
-    """A per-letter fold with a range check after every letter: ("matrix",
-    rows), or ("overflow", message, letters read) at the first step that
-    leaves 64 bits, naming its first entry out of range."""
-    product = [[1, 0], [0, 1]]
-    for t, ch in enumerate(word, start=1):
-        product = mat_mul(product, mat_word(ch))
-        for x in product[0] + product[1]:
-            if not sl2z.INT64_MIN <= x <= sl2z.INT64_MAX:
-                return "overflow", f"matrix entry {x} exceeds the signed 64-bit range", t
-    return "matrix", product
-
-
-# powers of a few a^i b blocks, cut at 500 letters: most grow, at rates set
-# by the blocks, so the first step out of range falls at many different
-# places; some, like "ab" (of order 6), stay small
+# powers of a few a^i b blocks, cut at 500 letters: most grow past 64 bits,
+# at rates set by the blocks; some, like "ab" (of order 6), stay small
 _growing_words = st.builds(
     lambda blocks, power: ("".join("a" * i + "b" for i in blocks) * power)[:500],
     st.lists(st.integers(1, 6), min_size=1, max_size=4), st.integers(1, 125))
@@ -219,14 +206,9 @@ _growing_words = st.builds(
     _growing_words.map(lambda half: half + _positive_inverse(half)),  # grows, then comes back
     st.text(alphabet="ab", max_size=500),
 ))
-def test_property_fold_matches_a_per_letter_checked_fold(word):
-    want = _reference_fold(word)
-    if want[0] == "matrix":
-        assert word_to_matrix(word).to_lists() == want[1]
-        return
-    _, message, first = want
-    assert word_to_matrix(word[:first - 1]).to_lists() == mat_word(word[:first - 1])
-    for prefix in (word[:first], word):
-        with pytest.raises(OverflowError) as caught:
-            word_to_matrix(prefix)
-        assert str(caught.value) == message
+@example(_PAST_64_BITS)
+def test_property_fold_matches_a_per_letter_fold(word):
+    product = mat_word(word)
+    assert word_to_matrix(word).to_lists() == product
+    if word == _PAST_64_BITS:
+        assert _leaves_64_bits(product)
