@@ -131,11 +131,16 @@ def test_determinant_enforced():
         GroupElement(2, 0, 0, 2)
 
 
-def test_entries_past_64_bits_are_exact():
+def test_construction_past_64_bits_is_exact():
     big = GroupElement(1, 2**63, 0, 1)
     assert big.to_lists() == [[1, 2**63], [0, 1]]
+
+
+def test_compose_past_64_bits_is_exact():
+    big = GroupElement(1, 2**63 - 1, 0, 1)
     product = compose(big, generator("a"))
     assert product.to_lists() == mat_mul(big.to_lists(), generator("a").to_lists())
+    assert product.to_lists()[0][1] == 2**63
 
 
 def test_serialization_round_trip():
