@@ -8,7 +8,6 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _encode_str
 
 from .fibers import FIBER_ORDER, catalog, catalog_json, fiber
 from .fibration import (
@@ -96,70 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_indented(value, put, newline: str) -> None:
-    """Pass ``put`` the pieces of ``json.dumps(value, indent=2, sort_keys=True)``,
-    nested at ``newline`` (a newline and the current indent).  A module-level
-    function, not a closure calling itself: that closure would be a reference
-    cycle holding every piece until the cyclic collector runs."""
-    if isinstance(value, str):
-        put(_encode_str(value))
-    elif value is None:
-        put("null")
-    elif value is True:
-        put("true")
-    elif value is False:
-        put("false")
-    elif isinstance(value, int):
-        put(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            put("[]")
-            return
-        inner = newline + "  "
-        comma, sep = "," + inner, "[" + inner
-        for item in value:
-            put(sep)
-            sep = comma
-            _write_indented(item, put, inner)
-        put(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            put("{}")
-            return
-        inner = newline + "  "
-        comma, sep = "," + inner, "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                if not (key is None or isinstance(key, (int, float))):
-                    raise TypeError(f"keys must be str, int, float, bool or None, "
-                                    f"not {key.__class__.__name__}")
-                key = json.dumps(key)  # the stdlib's own spelling: true, null, NaN, 1e+16
-            put(sep)
-            sep = comma
-            put(_encode_str(key))
-            put(": ")
-            _write_indented(item, put, inner)
-        put(newline + "}")
-    else:  # floats, and the stdlib's TypeError for what JSON cannot hold
-        put(json.dumps(value))
-
-
-def _indented(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, written in one pass.
-    Before Python 3.13 the stdlib indents through its generator-based Python
-    encoder, which takes 1.4-2 times as long as this writer."""
-    pieces: list[str] = []
-    _write_indented(value, pieces.append, "\n")
-    return "".join(pieces)
-
-
-# From 3.13 the C encoder indents and beats the writer; delete it with 3.12 support.
-_dumps = (functools.partial(json.dumps, indent=2, sort_keys=True)
-          if sys.version_info >= (3, 13) else _indented)
-
-
 def _print_json(payload) -> None:
-    print(_dumps(payload))
+    print(json.dumps(payload, sort_keys=True))
 
 
 def _write_dot(path: str, text: str) -> None:

@@ -230,23 +230,13 @@ def order_index(name: str) -> int:
 
 def catalog_json() -> list[dict]:
     """Catalog as JSON-ready dictionaries (words as plain strings), each
-    type's options in tie-break order; the ``fragment`` and ``resolution``
-    keys repeat its ``use`` and ``resolve`` options, when it has them."""
-    out = []
-    for entry in _CATALOG:
-        item: dict = {"name": entry.name, "word": entry.word, "euler": entry.euler}
-        use, resolution = entry._find("use"), entry._find("resolve")
-        if use is not None:
-            item["fragment"] = use.fragment.to_json_dict()
-        if resolution is not None:
-            item["resolution"] = {
-                "blowups": resolution.blowups,
-                "fragment": resolution.fragment.to_json_dict(),
-            }
-        item["options"] = [
-            {"choice": o.choice, "blowups": o.blowups, "adjusted_gain": o.adjusted_gain,
-             "fragment": None if o.fragment is None else o.fragment.to_json_dict()}
-            for o in entry.options
-        ]
-        out.append(item)
-    return out
+    type's options in tie-break order."""
+    return [
+        {"name": entry.name, "word": entry.word, "euler": entry.euler,
+         "options": [
+             {"choice": o.choice, "blowups": o.blowups, "adjusted_gain": o.adjusted_gain,
+              "fragment": None if o.fragment is None else o.fragment.to_json_dict()}
+             for o in entry.options
+         ]}
+        for entry in _CATALOG
+    ]

@@ -1,10 +1,8 @@
 import argparse
 import contextlib
 import dataclasses
-import gc
 import io
 import json
-import math
 import time
 from types import SimpleNamespace
 
@@ -266,58 +264,26 @@ def test_catalog_json_and_dot(tmp_path, capsys):
     assert "E8t_0" in text and "II_cusp_0" in text
 
 
-# -- the --json writer ----------------------------------------------------------
+# -- the --json format ---------------------------------------------------------
 
-_NUMBERS = (st.booleans() | st.integers() | st.integers(2**64, 2**200) | st.floats()
-            | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e16]))
-# every code point: non-BMP, control characters and lone surrogates included
-_TEXT = st.text(st.characters(exclude_categories=()))
-_JSON_VALUES = st.recursive(
-    st.none() | _NUMBERS | _TEXT,
-    lambda children: (
-        st.lists(children) | st.lists(children).map(tuple)
-        | st.dictionaries(_TEXT, children) | st.dictionaries(_NUMBERS, children)
-        | st.dictionaries(st.none() | _NUMBERS | _TEXT, children, max_size=3)  # mixed keys
-    ),
-    max_leaves=30,
+
+@pytest.mark.parametrize(
+    "argv",
+    [("formula", "30"), ("search", "30", "50"), ("build",), ("verify-paper",), ("conjecture",),
+     ("catalog",)],
+    ids=lambda argv: argv[0],
 )
-
-
-@settings(max_examples=200, deadline=None)
-@given(_JSON_VALUES)
-@example({"a": {}, "b": [], "c": (), "d": "\ud800\U0001f600\x00", "e": 2**70})
-@example({1: "int", 2.5: "float", True: "bool", -math.inf: "inf", math.nan: "nan"})
-@example({None: None})
-def test_indented_writer_matches_the_stdlib(value):
-    try:
-        expected = json.dumps(value, indent=2, sort_keys=True)
-    except TypeError:  # keys that cannot be sorted together
-        with pytest.raises(TypeError):
-            cli._indented(value)
-    else:
-        assert cli._indented(value) == expected
-
-
-def test_indented_writer_leaves_no_garbage_cycles():
-    # a writer that recursed through a closure would leave a cycle per call,
-    # holding its pieces until the cyclic collector ran
-    payload = {"trace": [{"op": "section", "vertices": [0, 1]}] * 50, "graph": {"edges": [[0, 1]]}}
-    gc.collect()
-    gc.disable()
-    try:
-        cli._indented(payload)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-
-
-def test_indented_writer_rejects_what_the_stdlib_rejects():
-    for value in ({(1, 2): 0}, {"a": object()}, {"a": 1, 2: "b"}):
-        with pytest.raises(TypeError) as ours:
-            cli._indented(value)
-        with pytest.raises(TypeError) as stdlib:
-            json.dumps(value, indent=2, sort_keys=True)
-        assert str(ours.value) == str(stdlib.value)
+def test_json_output_is_the_stdlibs_compact_sorted_text(tmp_path, capsys, argv):
+    if argv == ("build",):  # the search 30 50 winner
+        found = best_sphere(30, 50).to_json_dict()
+        spec, plan = tmp_path / "spec.json", tmp_path / "plan.json"
+        spec.write_text(json.dumps(found["spec"]))
+        plan.write_text(json.dumps(found["plan"]))
+        argv = ("build", str(spec), "--plan", str(plan))
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+    assert out.isascii()
 
 
 def test_search_guard_exit_code(capsys):

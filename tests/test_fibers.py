@@ -165,24 +165,10 @@ def test_catalog_json():
     assert len(data) == 8
     by_name = {item["name"]: item for item in data}
     assert by_name["E8t"]["word"] == "ababababab"
-    assert "fragment" in by_name["E8t"] and "resolution" not in by_name["E8t"]
-    assert by_name["II_cusp"]["resolution"]["blowups"] == 3
-    assert "fragment" not in by_name["I1_nodal"]
-
-
-def test_catalog_json_legacy_keys_repeat_the_use_and_resolve_options():
-    for entry, item in zip(catalog(), catalog_json()):
-        choices = {o.choice: o for o in entry.options}
-        assert ("fragment" in item) == ("use" in choices)
-        assert ("resolution" in item) == ("resolve" in choices)
-        if "use" in choices:
-            assert item["fragment"] == choices["use"].fragment.to_json_dict()
-        if "resolve" in choices:
-            option = choices["resolve"]
-            assert item["resolution"] == {
-                "blowups": option.blowups,
-                "fragment": option.fragment.to_json_dict(),
-            }
+    choices = {name: {o["choice"]: o for o in item["options"]} for name, item in by_name.items()}
+    assert "use" in choices["E8t"] and "resolve" not in choices["E8t"]
+    assert choices["II_cusp"]["resolve"]["blowups"] == 3
+    assert "use" not in choices["I1_nodal"]
 
 
 def test_fragment_dot_output():
