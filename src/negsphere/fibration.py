@@ -32,8 +32,8 @@ _EULER = {entry.name: entry.euler for entry in catalog()}
 _WORD = {entry.name: entry.word for entry in catalog()}
 _RANK = {entry.name: i for i, entry in enumerate(catalog())}
 _NAMES = frozenset(_EULER)
-# entries kept by each per-process memo (``_validate`` per spec, ``_tree_parts`` per
-# fragment tuple), least recently used dropped first: 40 trees win the guard grid
+# entries kept by the per-process tree memo ``_tree_parts``, least recently used
+# dropped first: 40 trees win the guard grid
 _MEMO_SIZE = 256
 
 
@@ -111,13 +111,7 @@ def _trivial_monodromy(fibers) -> bool:
 
 
 def validate(spec: FibrationSpec) -> None:
-    """Check the two fibration invariants; raise ValidationError naming the failure.
-    Memoised per (n, fibers); a failure is never stored, so it raises every time."""
-    _validate(spec)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _validate(spec: FibrationSpec) -> None:  # a spec hashes and compares as (n, fibers)
+    """Check the two fibration invariants; raise ValidationError naming the failure."""
     as_nk(spec.n)
     total = spec.euler_sum()
     if total != 12 * spec.n:
@@ -137,28 +131,15 @@ _RESIDUE_FIBERS = {
 }
 
 
-# Validated reference specs by n, filled on first use.  Invalid n are
-# never stored, so they raise on every call.
-_REFERENCE_SPECS: dict[int, FibrationSpec] = {}
 # the slots' own setters, with which ``search.enumerate_specs`` builds its specs in place
 _SET_N, _SET_FIBERS = FibrationSpec.n.__set__, FibrationSpec.fibers.__set__
 
 
 def reference_decomposition(n: int) -> FibrationSpec:
-    """The fixed fibration realizing the minimal smoothed square in E(n).
-
-    Memoised per n: the 12n-letter monodromy word is validated once per
-    process and every later call returns the same frozen spec.
-    """
+    """The fixed fibration realizing the minimal smoothed square in E(n): a new,
+    equal spec on every call, validated when ``build_tree`` builds its tree."""
     n, _ = as_nk(n)
-    spec = _REFERENCE_SPECS.get(n)
-    if spec is None:
-        k, r = divmod(n, 5)
-        fibers = ("E8t",) * (6 * k) + _RESIDUE_FIBERS[r]
-        spec = FibrationSpec(n=n, fibers=fibers)
-        validate(spec)
-        _REFERENCE_SPECS[n] = spec
-    return spec
+    return FibrationSpec(n, ("E8t",) * (6 * (n // 5)) + _RESIDUE_FIBERS[n % 5])
 
 
 class WorkedExample(NamedTuple):
@@ -204,7 +185,8 @@ def documented_choices(spec: FibrationSpec) -> set | None:
     example makes its row's choices.  Never raises: the reference is built
     only for n >= 2 and only when it has as many fibers as ``spec``."""
     n, fibers = spec.n, spec.canonical().fibers
-    size = 6 * (n // 5) + len(_RESIDUE_FIBERS[n % 5])  # of the reference
+    # the reference's length, compared first: no memory holds its tuple at n = 10**12
+    size = 6 * (n // 5) + len(_RESIDUE_FIBERS[n % 5])
     if n >= 2 and len(fibers) == size and fibers == reference_decomposition(n).fibers:
         return {(name, "use") for name in fibers}
     documented = {(name, row.choices.get(i, "use")) for row in WORKED_EXAMPLES
@@ -250,25 +232,25 @@ def build_tree(spec: FibrationSpec, resolutions=None) -> tuple[PlumbingGraph, in
     attachment vertex (the smoothed value is independent of this choice).
 
     Returns the tree and the blow-ups its options consume (resolutions and
-    replacements).  Every call validates the spec, then checks the resolutions.
-    The weights and edges are memoised per (n, each fiber's fragment), so plans
-    that attach the same fragments share an entry; each call gets fresh lists,
-    with no tree flag or coloring, and the labels and trace are
-    ``_tree_provenance``'s, made on every read.
+    replacements).  Every call checks the resolutions, then the spec.  The
+    weights and edges are memoised per (spec, each fiber's fragment) for specs
+    that pass ``validate``, so plans that attach the same fragments share an
+    entry; each call gets fresh lists, with no tree flag or coloring, and the
+    labels and trace are ``_tree_provenance``'s, made on every read.
     """
-    validate(spec)
     options = fiber_options(spec, resolutions)
-    parts = _tree_parts(spec.n, tuple(map(attrgetter("fragment"), options)))  # a key built in C
+    parts = _tree_parts(spec, tuple(map(attrgetter("fragment"), options)))  # a key built in C
     graph = PlumbingGraph._deferred(partial(_tree_provenance, spec, options), *parts)
     return graph, sum(option.blowups for option in options)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _tree_parts(n: int, fragments: tuple) -> tuple[tuple, tuple]:
-    """``build_tree``'s weights and edges, checked by one constructor call: the
-    section, then each fragment (None attaches nothing) shifted past the vertices
-    before it, its edges followed by its edge to the section."""
-    weights, edges = [-n], []
+def _tree_parts(spec: FibrationSpec, fragments: tuple) -> tuple[tuple, tuple]:
+    """``build_tree``'s weights and edges once ``spec`` passes ``validate``, checked
+    by one constructor call: the section, then each fragment (None attaches nothing)
+    shifted past the vertices before it, its edges followed by its edge to the section."""
+    validate(spec)
+    weights, edges = [-spec.n], []
     for fragment in fragments:
         if fragment is not None:
             offset = len(weights)

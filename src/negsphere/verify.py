@@ -1,8 +1,8 @@
 """The fixed battery of checks behind the ``verify-paper`` subcommand.
 
 Every documented value the package claims to reproduce is recomputed
-here from scratch: group relations, the catalog, the s(n) table with its
-closed-form comparison, the worked E(2)/E(6) examples (one item per row
+here from scratch: group relations, the catalog, the oracle-checked s(n)
+table against its closed form, the worked E(2)/E(6) examples (one item per row
 of ``fibration.WORKED_EXAMPLES``), blow-up deltas, search rediscovery and
 the ratio screen.  Each item reports PASS/FAIL with the numbers it saw.
 """
@@ -92,17 +92,11 @@ def _check_cusp_replacement():
     return ok, f"single sphere {option.fragment.graph.weights[0]}, {option.blowups} blow-up"
 
 
-def _check_s_table(square):
-    # construction_square raises when smoothing and the oracle disagree
-    squares = [square(n) for n in range(2, 21)]
-    return True, f"n = 2..20: smoothing = quadratic form, s(n) from {squares[0]} to {squares[-1]}"
-
-
-def _check_closed_form(square):
+def _check_closed_form():
     details = []
     ok = True
     for n in range(2, 21):
-        built = square(n)
+        built = construction_square(n)  # raises when smoothing and the oracle disagree
         printed = closed_form_square(n)
         if n % 5 == 0:
             good = printed - built == 4
@@ -166,20 +160,17 @@ def _check_ratio_screen(search):
     )
 
 
-def _battery(square, search):
-    """(name, check) pairs in battery order; ``square(n)`` is the reference
-    tree's checked square, shared by the s-table and closed-form items, and
-    ``search(n, k)`` is ``best_sphere``, shared by the last two items."""
+def _battery(search):
+    """(name, check) pairs in battery order; ``search(n, k)`` is ``best_sphere``,
+    shared by the last two items."""
     return (
         ("group braid relation aba = bab and torsion (ab)^6 = 1", _check_group_relations),
         ("(ab)^3 is minus the identity and (aba)^2 = (ab)^3", _check_torsion_sign),
         ("catalog words, Euler numbers and fragment consistency", _check_catalog),
         ("resolution recipes for II_cusp, III, IV", _check_resolutions),
         ("cusp replacement gives a (-9)-sphere for one blow-up", _check_cusp_replacement),
-        ("s-table n = 2..20 agrees with the quadratic-form oracle",
-         partial(_check_s_table, square)),
-        ("closed form vs construction (difference only at multiples of 5)",
-         partial(_check_closed_form, square)),
+        ("closed form vs oracle-checked s(n), n = 2..20 (difference only at multiples of 5)",
+         _check_closed_form),
         ("two-sphere blow-up identity x + y - 2 - 5k", _check_chain_identity),
         *(
             (f"E({row.n})#{row.k} worked example: {row.what} gives {row.square}",
@@ -196,10 +187,9 @@ def _battery(square, search):
 
 def run_battery() -> list[dict]:
     """Run every check; returns [{name, passed, detail}] in battery order.
-    Each reference tree is built, and each (n, k) searched, once per run (a
-    failed call is retried)."""
+    Each (n, k) is searched once per run (a failed search is retried)."""
     report = []
-    for name, check in _battery(cache(construction_square), cache(best_sphere)):
+    for name, check in _battery(cache(best_sphere)):
         try:
             passed, detail = check()
         except Exception as exc:  # a crash is a failure, not an abort

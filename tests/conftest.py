@@ -1,7 +1,8 @@
-"""Each test here starts and ends with ``negsphere.fibration``'s memos empty:
-it sees a fresh process's cache state whatever ran before it, and leaves none
-behind for the tests that run after it (the benchmark's tests count the work
-a first build and a first validation do)."""
+"""Each test here starts and ends with ``negsphere.fibration``'s one memo, the
+tree memo ``_tree_parts``, empty: it sees a fresh process's cache state whatever
+ran before it, and leaves none behind for the tests that run after it (the
+benchmark's tests count the work a first tree build does, its validation
+included)."""
 
 import pytest
 
@@ -9,7 +10,6 @@ from negsphere import fibration
 
 
 def _empty_memos():
-    fibration._validate.cache_clear()
     fibration._tree_parts.cache_clear()
 
 

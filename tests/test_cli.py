@@ -664,8 +664,8 @@ def test_verify_paper_builds_each_reference_tree_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "construction_square",
                             lambda n: calls.append(n) or square(n))
     code, out, _ = run(capsys, "verify-paper")
-    assert code == 0 and "(21/21)" in out
-    # n = 2..20 once each for the s-table and closed-form items, plus the guarantees
+    assert code == 0 and "(20/20)" in out
+    # n = 2..20 once each for the closed-form item, plus the guarantees
     assert sorted(set(calls)) == list(range(2, 21))
     assert len(calls) <= 22
 
@@ -675,7 +675,7 @@ def test_verify_paper_searches_each_pair_once(capsys, monkeypatch):
     search = search_module.best_sphere
     monkeypatch.setattr(verify, "best_sphere", lambda n, k: calls.append((n, k)) or search(n, k))
     code, out, _ = run(capsys, "verify-paper")
-    assert code == 0 and "(21/21)" in out
+    assert code == 0 and "(20/20)" in out
     assert sorted(calls) == [(2, 0), (2, 1), (6, 1), (6, 3)]
 
 

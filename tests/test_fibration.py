@@ -112,29 +112,47 @@ def test_reference_decomposition_validates_up_to_30():
 
 
 def test_reference_decomposition_is_validated_once_per_n(monkeypatch):
-    monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
     calls = []
     monkeypatch.setattr(fibration, "validate", lambda spec: calls.append(spec.n) or validate(spec))
-    first = reference_decomposition(7)
-    assert reference_decomposition(7) is first
-    assert reference_decomposition(8) is reference_decomposition(8)
+    for n in (7, 8):
+        first = reference_decomposition(n)
+        assert reference_decomposition(n) == first  # equal, made anew on every call
+        for _ in range(2):  # validated on the tree memo's miss only
+            build_tree(reference_decomposition(n))
     assert calls == [7, 8]
 
 
-def test_memoised_reference_equals_a_fresh_build(monkeypatch):
-    memoised = {n: reference_decomposition(n) for n in range(2, 31)}
-    monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
-    for n, spec in memoised.items():
-        fresh = reference_decomposition(n)
-        validate(fresh)
-        assert fresh == spec and fresh.provenance == PAPER_VERIFIED
+def test_memoised_reference_equals_a_fresh_build():
+    fresh = {n: (reference_decomposition(n), build_tree(reference_decomposition(n))[0])
+             for n in range(2, 31)}
+    for n, (spec, tree) in fresh.items():
+        again = reference_decomposition(n)
+        assert again == spec and again.provenance == PAPER_VERIFIED
+        assert build_tree(again)[0] == tree
+    info = fibration._tree_parts.cache_info()
+    assert (info.misses, info.hits) == (29, 29)
 
 
 def test_reference_decomposition_does_not_cache_errors():
     for _ in range(2):
-        with pytest.raises(ValidationError, match="at least 2"):
-            reference_decomposition(1)
-    assert 1 not in fibration._REFERENCE_SPECS
+        for make in (reference_decomposition, construction_square):
+            with pytest.raises(ValidationError, match="at least 2"):
+                make(1)
+    assert fibration._tree_parts.cache_info().currsize == 0
+
+
+def test_bad_resolutions_are_reported_before_a_bad_spec(tmp_path, capsys):
+    spec = FibrationSpec(2, ("E8t", "E8t", "E6t", "I0star"))  # euler sum 34 != 24
+    message = "fiber index 9 out of range for 4 fibers"
+    with pytest.raises(ValidationError, match="^euler sum"):
+        validate(spec)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        build_tree(spec, {9: "skip"})
+    spec_file, plan_file = tmp_path / "spec.json", tmp_path / "plan.json"
+    spec_file.write_text(json.dumps({"n": spec.n, "fibers": list(spec.fibers)}))
+    plan_file.write_text(json.dumps({"resolutions": {"9": "skip"}}))
+    assert main(["build", str(spec_file), "--plan", str(plan_file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_construction_square_anchors():

@@ -1,6 +1,6 @@
-"""The per-process memos of ``fibration``: ``validate``'s verdict per (n, fibers)
-and ``build_tree``'s weights and edges per (n, each fiber's fragment).  A memo
-changes how often work is done, never what a call returns or raises."""
+"""The one per-process memo of ``fibration``: ``build_tree``'s weights and edges
+per (spec, each fiber's fragment), which holds only specs that passed ``validate``.
+The memo changes how often work is done, never what a call returns or raises."""
 
 import random
 
@@ -56,26 +56,28 @@ def test_a_tree_built_twice_is_equal_and_owns_its_lists():
 def test_an_invalid_spec_raises_on_every_validation(spec, message):
     for _ in range(3):
         with pytest.raises(ValidationError, match=message):
-            validate(spec)
-    assert fibration._validate.cache_info().currsize == 0
+            build_tree(spec)
+    assert fibration._tree_parts.cache_info().currsize == 0
 
 
-def test_a_repeated_validation_multiplies_no_word(monkeypatch):
+def test_a_repeated_build_multiplies_no_word(monkeypatch):
     fibers = ("E8t",) * 7 + ("II_cusp",)
-    validate(FibrationSpec(6, fibers))
     words = []
     multiply = sl2z.word_to_matrix
     monkeypatch.setattr(sl2z, "word_to_matrix", lambda word: words.append(word) or multiply(word))
-    validate(FibrationSpec(6, fibers))  # an equal spec, not the same object
-    build_tree(FibrationSpec(6, fibers), {7: "resolve"})
-    assert words == []
-    validate(FibrationSpec(6, fibers[::-1]))  # another listing is another key
+    build_tree(FibrationSpec(6, fibers), {7: "resolve"})  # the miss validates the spec
     assert len(words) == 1
+    build_tree(FibrationSpec(6, fibers), {7: "resolve"})  # an equal spec, not the same object
+    build_tree(FibrationSpec(6, fibers), {7: "replace"})  # another fragment, another entry
+    assert len(words) == 2
+    for _ in range(2):  # validate alone keeps no memo
+        validate(FibrationSpec(6, fibers))
+    assert len(words) == 4
 
 
 def _fragments(spec, resolutions):
     """The key ``build_tree``'s memo files a tree under."""
-    return spec.n, tuple(option.fragment for option in fibration.fiber_options(spec, resolutions))
+    return spec, tuple(option.fragment for option in fibration.fiber_options(spec, resolutions))
 
 
 def test_each_memo_holds_at_most_its_bound():
@@ -83,14 +85,12 @@ def test_each_memo_holds_at_most_its_bound():
     plans = [{i: "skip" for i, name in enumerate(spec.fibers) if fiber(name).default is None}
              for spec in specs]
     trees = {_fragments(spec, plan) for spec, plan in zip(specs, plans)}
-    assert min(len(specs), len(trees)) > fibration._MEMO_SIZE
+    assert len(trees) > fibration._MEMO_SIZE
     for spec, plan in zip(specs, plans):
-        validate(spec)
         build_tree(spec, plan)
-    for memo, keys in ((fibration._validate, specs), (fibration._tree_parts, trees)):
-        info = memo.cache_info()
-        assert info.maxsize == fibration._MEMO_SIZE
-        assert info.misses == len(keys) and info.currsize == fibration._MEMO_SIZE
+    info = fibration._tree_parts.cache_info()
+    assert info.maxsize == fibration._MEMO_SIZE
+    assert info.misses == len(trees) and info.currsize == fibration._MEMO_SIZE
 
 
 def test_build_tree_resolves_the_options_once_on_a_miss_and_on_a_hit(monkeypatch):

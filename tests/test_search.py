@@ -550,7 +550,6 @@ def test_branch_and_bound_node_count_over_every_fiber_type():
 
 
 def test_enumerate_specs_validates_the_reference_once(monkeypatch):
-    monkeypatch.setattr(fibration, "_REFERENCE_SPECS", {})
     calls = []
     monkeypatch.setattr(fibration, "validate", lambda spec: calls.append(spec.n) or validate(spec))
     specs = list(enumerate_specs(5))
